@@ -7,6 +7,14 @@
 // knapsacks (dense single rows), min-max assignment (the mapper's
 // minimize-w pattern), big-M disjunctive non-overlap (Eq. 3-8), and
 // time-indexed scheduling (the ILP scheduler's choose-one + capacity rows).
+//
+// Two committed baselines gate the node and LP-iteration counts (see
+// docs/benchmarking.md): bench/results/BENCH_ilp_t0.json for `--threads 0`,
+// the default every library caller runs (one worker on the reproducible
+// epoch schedule), and bench/results/BENCH_ilp.json for `--threads 1` (one
+// asynchronous work-stealing worker).  `--basis dense` and `--pricing
+// dantzig` select the LP engine's reference implementations, which CI runs
+// to check that the production sparse LU + devex reach the same objectives.
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -215,9 +223,10 @@ void run(const std::string& name, const Model& model, const MilpOptions& options
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--threads N`: 0 (default) runs the serial search; N >= 1 runs the
-  // parallel tree search with N workers.  CI runs both, in both basis
-  // modes, and diffs objectives (they must agree exactly).
+  // `--threads N`: 0 (default) runs one worker on the epoch schedule;
+  // N >= 1 runs N asynchronous work-stealing workers.  CI runs several
+  // thread counts, both bases and cuts on/off, and diffs objectives (they
+  // must agree exactly).
   MilpOptions options;
   options.time_limit_seconds = 60.0;
   std::string out_path;

@@ -156,527 +156,79 @@ struct Node {
   bool branch_up = false;
 };
 
-class BranchAndBound {
- public:
-  BranchAndBound(const Model& model, const MilpOptions& options,
-                 const std::vector<double>* presolved_lower = nullptr,
-                 const std::vector<double>* presolved_upper = nullptr)
-      : model_(model), options_(options), start_(Clock::now()) {
-    const int n = model.variable_count();
-    root_lower_.reserve(static_cast<std::size_t>(n));
-    root_upper_.reserve(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      const Variable& v = model.variable(VarId{j});
-      double lo = presolved_lower ? (*presolved_lower)[static_cast<std::size_t>(j)] : v.lower;
-      double hi = presolved_upper ? (*presolved_upper)[static_cast<std::size_t>(j)] : v.upper;
-      // Integer variables get their bounds pre-rounded inward so the LP
-      // relaxation never explores fractional slivers outside them.
-      if (v.type != VarType::kContinuous) {
-        lo = std::isfinite(lo) ? std::ceil(lo - 1e-9) : lo;
-        hi = std::isfinite(hi) ? std::floor(hi + 1e-9) : hi;
-      }
-      root_lower_.push_back(lo);
-      root_upper_.push_back(hi);
-    }
-    cur_lower_ = root_lower_;
-    cur_upper_ = root_upper_;
-    last_heartbeat_ = start_;
-    stamp_.assign(static_cast<std::size_t>(n), 0);
-    pc_down_sum_.assign(static_cast<std::size_t>(n), 0.0);
-    pc_down_count_.assign(static_cast<std::size_t>(n), 0);
-    pc_up_sum_.assign(static_cast<std::size_t>(n), 0.0);
-    pc_up_count_.assign(static_cast<std::size_t>(n), 0);
-    imp_down_sum_.assign(static_cast<std::size_t>(n), 0.0);
-    imp_up_sum_.assign(static_cast<std::size_t>(n), 0.0);
-  }
-
-  MilpResult run() {
-    if (options_.initial_incumbent) {
-      require(model_.is_feasible(*options_.initial_incumbent, 1e-5),
-              "warm-start incumbent is not feasible");
-      incumbent_ = *options_.initial_incumbent;
-      incumbent_score_ = min_score(model_.objective_value(*incumbent_));
-    }
-
-    LpSolver solver(model_, options_.lp);
-    push_node(Node{});
-    bool unbounded = false;
-
-    // The body runs as a function so a popped node's chain reference is
-    // dropped on every exit path (prune, infeasible, integral, branch).
-    enum class Step { kContinue, kUnbounded, kLimit };
-    auto process = [&](const Node& node) -> Step {
-      if (pruned_by_bound(node.bound_score)) return Step::kContinue;
-      ++nodes_;
-      if ((nodes_ & 0x7f) == 0) report_progress(false);
-
-      materialize(node);
-      const double cutoff =
-          incumbent_.has_value() ? incumbent_score_ - options_.absolute_gap : kInfinity;
-      const LpResult lp = options_.lp_warm_start ? solver.resolve(cur_lower_, cur_upper_, cutoff)
-                                                 : solver.solve(cur_lower_, cur_upper_);
-      lp_iterations_ += lp.iterations;
-
-      if (lp.status == LpStatus::kInfeasible || lp.status == LpStatus::kCutoff) {
-        return Step::kContinue;
-      }
-      if (lp.status == LpStatus::kUnbounded) return Step::kUnbounded;
-      if (lp.status == LpStatus::kIterationLimit) {
-        pending_bound_ = node.bound_score;
-        return Step::kLimit;
-      }
-
-      const double node_score = min_score(lp.objective);
-      if (node.branch_var >= 0) {
-        update_pseudocost(node, node_score);
-      } else {
-        root_bound_score_ = node_score;
-      }
-      if (pruned_by_bound(node_score)) return Step::kContinue;
-
-      const int branch_var = select_branch_var(lp.values);
-      if (branch_var == -1) {
-        // LP solution is already integral: snap and adopt.
-        std::vector<double> snapped = lp.values;
-        for (int j = 0; j < model_.variable_count(); ++j) {
-          if (model_.variable(VarId{j}).type == VarType::kContinuous) continue;
-          snapped[static_cast<std::size_t>(j)] = std::round(snapped[static_cast<std::size_t>(j)]);
-        }
-        if (model_.is_feasible(snapped)) offer_incumbent(std::move(snapped));
-        return Step::kContinue;
-      }
-
-      try_rounding(lp.values);
-      if (pruned_by_bound(node_score)) return Step::kContinue;
-
-      branch(node, branch_var, lp.values, node_score);
-      return Step::kContinue;
-    };
-
-    while (!open_.empty()) {
-      if (limits_exceeded()) {
-        limit_hit_ = true;
-        break;
-      }
-      const Node node = pop_node();
-      const Step step = process(node);
-      arena_.release(node.chain);
-      if (step == Step::kUnbounded) {
-        unbounded = true;
-        break;
-      }
-      if (step == Step::kLimit) {
-        limit_hit_ = true;
-        break;
-      }
-    }
-
-    report_progress(true);  // close the counter tracks at their final values
-
-    MilpResult result;
-    result.nodes = nodes_;
-    result.lp_iterations = lp_iterations_;
-    result.lp = solver.stats();
-    result.arena_bytes = arena_.bytes();
-    result.impact_branch_decisions = impact_decisions_;
-    result.pseudocost_branch_decisions = pseudocost_decisions_;
-    if (unbounded && !incumbent_.has_value()) {
-      result.status = MilpStatus::kUnbounded;
-      return result;
-    }
-    const double bound_score = remaining_bound_score();
-    if (incumbent_.has_value()) {
-      result.values = *incumbent_;
-      result.objective = model_.objective_value(*incumbent_);
-      result.status = limit_hit_ ? MilpStatus::kFeasible : MilpStatus::kOptimal;
-      result.best_bound = limit_hit_ ? user_value(bound_score) : result.objective;
-    } else {
-      result.status = limit_hit_ ? MilpStatus::kLimit : MilpStatus::kInfeasible;
-      result.best_bound = user_value(limit_hit_ ? bound_score : root_bound_score_);
-    }
-    return result;
-  }
-
- private:
-  /// Converts a user-sense objective into an always-minimized score.  This
-  /// is also the LP engine's internal objective, so incumbent scores can be
-  /// handed to LpSolver::resolve as cutoffs directly.
-  double min_score(double user_objective) const {
-    return model_.objective_sign() * (user_objective - model_.objective_constant());
-  }
-  double user_value(double score) const {
-    return model_.objective_sign() * score + model_.objective_constant();
-  }
-
-  bool pruned_by_bound(double score) const {
-    return incumbent_.has_value() && score >= incumbent_score_ - options_.absolute_gap;
-  }
-
-  /// Emits the B&B progress telemetry: trace counter samples (incumbent /
-  /// bound / open nodes, one track set per thread so concurrent solves do
-  /// not interleave) plus an INFO heartbeat.  Rate-limited; called every
-  /// 128 nodes, on incumbent improvements and once at the end, so the cost
-  /// with tracing and INFO logging off is a branch per 128 nodes.
-  void report_progress(bool force) {
-    const bool tracing = obs::tracing_enabled();
-    const bool logging = log_level() <= LogLevel::kInfo;
-    if (!tracing && !logging) return;
-    const Clock::time_point now = Clock::now();
-    if (tracing && (force || now - last_counter_emit_ >= std::chrono::milliseconds(20))) {
-      last_counter_emit_ = now;
-      obs::Tracer& tracer = obs::Tracer::instance();
-      const std::string suffix = " t" + std::to_string(current_thread_id());
-      if (incumbent_.has_value()) {
-        tracer.counter("ilp", "milp incumbent" + suffix, user_value(incumbent_score_));
-      }
-      const double bound = remaining_bound_score();
-      if (std::isfinite(bound)) {
-        tracer.counter("ilp", "milp bound" + suffix, user_value(bound));
-      }
-      tracer.counter("ilp", "milp open_nodes" + suffix, static_cast<double>(open_.size()));
-    }
-    if (logging && (now - last_heartbeat_ >= std::chrono::seconds(5))) {
-      last_heartbeat_ = now;
-      log_info("milp: ", nodes_, " nodes, incumbent ",
-               incumbent_.has_value() ? detail::concat(user_value(incumbent_score_))
-                                      : std::string("none"),
-               ", bound ", user_value(remaining_bound_score()), ", open ", open_.size());
-    }
-  }
-
-  bool limits_exceeded() {
-    if (nodes_ >= options_.max_nodes) return true;
-    if (options_.time_limit_seconds > 0.0) {
-      const double elapsed = std::chrono::duration<double>(Clock::now() - start_).count();
-      if (elapsed > options_.time_limit_seconds) return true;
-    }
-    if (options_.cancel.valid() && options_.cancel.cancelled()) return true;
-    return false;
-  }
-
-  // ---- open list -----------------------------------------------------------
-
-  /// "Worse" ordering for the best-first heap: larger parent bound loses;
-  /// on ties, shallower loses, then older loses (prefer diving).
-  static bool worse(const Node& a, const Node& b) {
-    if (a.bound_score != b.bound_score) return a.bound_score > b.bound_score;
-    if (a.depth != b.depth) return a.depth < b.depth;
-    return a.seq < b.seq;
-  }
-
-  void push_node(Node node) {
-    open_.push_back(std::move(node));
-    if (options_.node_order == NodeOrder::kBestFirst) {
-      std::push_heap(open_.begin(), open_.end(), worse);
-    }
-  }
-
-  Node pop_node() {
-    if (options_.node_order == NodeOrder::kBestFirst) {
-      std::pop_heap(open_.begin(), open_.end(), worse);
-    }
-    Node node = std::move(open_.back());
-    open_.pop_back();
-    return node;
-  }
-
-  /// Tightest proven bound over everything still unexplored.
-  double remaining_bound_score() const {
-    double bound = pending_bound_;
-    for (const Node& node : open_) bound = std::min(bound, node.bound_score);
-    if (!std::isfinite(bound) && bound > 0.0) bound = root_bound_score_;
-    return bound;
-  }
-
-  /// Applies a node's bound-change chain on top of the root box.  The chain
-  /// is walked leaf-to-root with deepest-wins stamping, after first undoing
-  /// the previous node's changes (O(changes), not O(variables)).
-  void materialize(const Node& node) {
-    for (const int v : touched_) {
-      cur_lower_[static_cast<std::size_t>(v)] = root_lower_[static_cast<std::size_t>(v)];
-      cur_upper_[static_cast<std::size_t>(v)] = root_upper_[static_cast<std::size_t>(v)];
-    }
-    touched_.clear();
-    ++epoch_;
-    for (std::int32_t id = node.chain; id != ChainArena::kNull; id = arena_.parent(id)) {
-      const BoundChange& change = arena_.change(id);
-      const int v = change.var;
-      if (stamp_[static_cast<std::size_t>(v)] == epoch_) continue;  // deeper change wins
-      stamp_[static_cast<std::size_t>(v)] = epoch_;
-      touched_.push_back(v);
-      cur_lower_[static_cast<std::size_t>(v)] = change.lower;
-      cur_upper_[static_cast<std::size_t>(v)] = change.upper;
-    }
-  }
-
-  // ---- branching -----------------------------------------------------------
-
-  /// Picks the integer variable whose LP value is most fractional
-  /// (fractional part closest to 0.5); -1 when the point is integral.
-  int most_fractional(const std::vector<double>& values) const {
-    int best = -1;
-    double best_distance_to_half = 1.0;
-    for (int j = 0; j < model_.variable_count(); ++j) {
-      if (model_.variable(VarId{j}).type == VarType::kContinuous) continue;
-      const double v = values[static_cast<std::size_t>(j)];
-      const double frac = std::abs(v - std::round(v));
-      if (frac <= options_.integrality_tolerance) continue;
-      const double distance_to_half = std::abs(frac - 0.5);
-      if (best == -1 || distance_to_half < best_distance_to_half) {
-        best = j;
-        best_distance_to_half = distance_to_half;
-      }
-    }
-    return best;
-  }
-
-  /// Branching score over the fractional variables: the classic pseudocost
-  /// product rule, blended with impact estimates (absolute objective
-  /// degradation per branch).  A variable's own statistics are trusted only
-  /// after `branch_reliability` observations in that direction; the global
-  /// averages stand in below the threshold, and until any observation
-  /// exists at all the most-fractional variable is used.
-  int select_branch_var(const std::vector<double>& values) {
-    const std::int64_t total = pc_observations_down_ + pc_observations_up_;
-    if (!options_.pseudocost_branching || total == 0) return most_fractional(values);
-    const double avg_down =
-        pc_observations_down_ > 0 ? pc_total_down_ / static_cast<double>(pc_observations_down_) : 1.0;
-    const double avg_up =
-        pc_observations_up_ > 0 ? pc_total_up_ / static_cast<double>(pc_observations_up_) : 1.0;
-    const double avg_imp_down =
-        pc_observations_down_ > 0 ? imp_total_down_ / static_cast<double>(pc_observations_down_) : 1.0;
-    const double avg_imp_up =
-        pc_observations_up_ > 0 ? imp_total_up_ / static_cast<double>(pc_observations_up_) : 1.0;
-    const std::int64_t reliability = std::max(options_.branch_reliability, 1);
-    const double iw =
-        options_.impact_branching ? std::clamp(options_.impact_weight, 0.0, 1.0) : 0.0;
-    int best = -1;
-    double best_score = -1.0;
-    double best_distance_to_half = 1.0;
-    for (int j = 0; j < model_.variable_count(); ++j) {
-      if (model_.variable(VarId{j}).type == VarType::kContinuous) continue;
-      const double v = values[static_cast<std::size_t>(j)];
-      const double down_frac = v - std::floor(v);
-      const double frac = std::min(down_frac, 1.0 - down_frac);
-      if (frac <= options_.integrality_tolerance) continue;
-      const std::size_t sj = static_cast<std::size_t>(j);
-      const bool down_reliable = pc_down_count_[sj] >= reliability;
-      const bool up_reliable = pc_up_count_[sj] >= reliability;
-      const double pcd =
-          down_reliable ? pc_down_sum_[sj] / static_cast<double>(pc_down_count_[sj]) : avg_down;
-      const double pcu =
-          up_reliable ? pc_up_sum_[sj] / static_cast<double>(pc_up_count_[sj]) : avg_up;
-      const double impd =
-          down_reliable ? imp_down_sum_[sj] / static_cast<double>(pc_down_count_[sj]) : avg_imp_down;
-      const double impu =
-          up_reliable ? imp_up_sum_[sj] / static_cast<double>(pc_up_count_[sj]) : avg_imp_up;
-      const double est_down = (1.0 - iw) * pcd * down_frac + iw * impd;
-      const double est_up = (1.0 - iw) * pcu * (1.0 - down_frac) + iw * impu;
-      const double score = std::max(est_down, 1e-6) * std::max(est_up, 1e-6);
-      const double distance_to_half = std::abs(frac - 0.5);
-      if (score > best_score ||
-          (score == best_score && distance_to_half < best_distance_to_half)) {
-        best = j;
-        best_score = score;
-        best_distance_to_half = distance_to_half;
-      }
-    }
-    if (best != -1) {
-      const std::size_t sb = static_cast<std::size_t>(best);
-      if (iw > 0.0 && pc_down_count_[sb] >= reliability && pc_up_count_[sb] >= reliability) {
-        ++impact_decisions_;
-      } else {
-        ++pseudocost_decisions_;
-      }
-    }
-    return best;
-  }
-
-  void update_pseudocost(const Node& node, double node_score) {
-    const double gain = std::max(node_score - node.bound_score, 0.0);
-    if (!std::isfinite(gain)) return;  // root bound was unknown
-    const double per_unit = gain / std::max(node.branch_dist, 1e-6);
-    const std::size_t v = static_cast<std::size_t>(node.branch_var);
-    if (node.branch_up) {
-      pc_up_sum_[v] += per_unit;
-      imp_up_sum_[v] += gain;
-      ++pc_up_count_[v];
-      pc_total_up_ += per_unit;
-      imp_total_up_ += gain;
-      ++pc_observations_up_;
-    } else {
-      pc_down_sum_[v] += per_unit;
-      imp_down_sum_[v] += gain;
-      ++pc_down_count_[v];
-      pc_total_down_ += per_unit;
-      imp_total_down_ += gain;
-      ++pc_observations_down_;
-    }
-  }
-
-  /// Creates the two children of `node` around `branch_var`.  Bound boxes
-  /// come from the materialized arrays, so ancestor tightenings carry over.
-  void branch(const Node& node, int branch_var, const std::vector<double>& values,
-              double node_score) {
-    const std::size_t v = static_cast<std::size_t>(branch_var);
-    const double value = values[v];
-    const double floor_v = std::floor(value + options_.integrality_tolerance);
-    const double down_dist = std::max(value - floor_v, options_.integrality_tolerance);
-    const double up_dist = std::max(floor_v + 1.0 - value, options_.integrality_tolerance);
-
-    Node down;
-    down.bound_score = node_score;
-    down.depth = node.depth + 1;
-    down.branch_var = branch_var;
-    down.branch_dist = down_dist;
-    down.branch_up = false;
-    Node up = down;
-    up.branch_dist = up_dist;
-    up.branch_up = true;
-
-    const double down_upper = std::min(cur_upper_[v], floor_v);
-    const double up_lower = std::max(cur_lower_[v], floor_v + 1.0);
-    const bool down_valid = cur_lower_[v] <= down_upper;
-    const bool up_valid = up_lower <= cur_upper_[v];
-    const bool down_first = (value - floor_v) <= 0.5;
-
-    // Depth-first pops the back, so push the nearer child last; best-first
-    // breaks bound ties by seq, so give the nearer child the larger seq.
-    auto push_down = [&] {
-      if (!down_valid) return;
-      down.seq = ++seq_;
-      down.chain =
-          arena_.make(BoundChange{branch_var, cur_lower_[v], down_upper}, node.chain);
-      push_node(down);
-    };
-    auto push_up = [&] {
-      if (!up_valid) return;
-      up.seq = ++seq_;
-      up.chain = arena_.make(BoundChange{branch_var, up_lower, cur_upper_[v]}, node.chain);
-      push_node(up);
-    };
-    if (down_first) {
-      push_up();
-      push_down();
-    } else {
-      push_down();
-      push_up();
-    }
-  }
-
-  // ---- incumbents ----------------------------------------------------------
-
-  /// Rounds the LP point into the node's box and adopts it when feasible.
-  void try_rounding(const std::vector<double>& lp_values) {
-    std::vector<double> rounded = lp_values;
-    for (int j = 0; j < model_.variable_count(); ++j) {
-      if (model_.variable(VarId{j}).type == VarType::kContinuous) continue;
-      double v = std::round(rounded[static_cast<std::size_t>(j)]);
-      v = std::clamp(v, cur_lower_[static_cast<std::size_t>(j)],
-                     cur_upper_[static_cast<std::size_t>(j)]);
-      rounded[static_cast<std::size_t>(j)] = v;
-    }
-    if (model_.is_feasible(rounded)) offer_incumbent(std::move(rounded));
-  }
-
-  void offer_incumbent(std::vector<double> point) {
-    const double score = min_score(model_.objective_value(point));
-    if (!incumbent_.has_value() || score < incumbent_score_) {
-      incumbent_ = std::move(point);
-      incumbent_score_ = score;
-      log_debug("milp: new incumbent ", user_value(score), " after ", nodes_, " nodes");
-      if (obs::tracing_enabled()) report_progress(true);
-    }
-  }
-
-  const Model& model_;
-  const MilpOptions& options_;
-  Clock::time_point start_;
-
-  std::vector<double> root_lower_, root_upper_;  ///< presolved root box
-  std::vector<double> cur_lower_, cur_upper_;    ///< materialized node box
-  std::vector<std::int64_t> stamp_;
-  std::vector<int> touched_;
-  std::int64_t epoch_ = 0;
-
-  ChainArena arena_;
-  std::vector<Node> open_;
-  std::int64_t seq_ = 0;
-
-  std::vector<double> pc_down_sum_, pc_up_sum_;
-  std::vector<double> imp_down_sum_, imp_up_sum_;
-  std::vector<std::int64_t> pc_down_count_, pc_up_count_;
-  double pc_total_down_ = 0.0, pc_total_up_ = 0.0;
-  double imp_total_down_ = 0.0, imp_total_up_ = 0.0;
-  std::int64_t pc_observations_down_ = 0, pc_observations_up_ = 0;
-  std::int64_t impact_decisions_ = 0, pseudocost_decisions_ = 0;
-
-  Clock::time_point last_counter_emit_{};  ///< epoch => first sample emits at once
-  Clock::time_point last_heartbeat_{};
-
-  std::optional<std::vector<double>> incumbent_;
-  double incumbent_score_ = kInfinity;
-  double root_bound_score_ = -kInfinity;
-  double pending_bound_ = kInfinity;  ///< bound of a node interrupted mid-solve
-  std::int64_t nodes_ = 0;
-  std::int64_t lp_iterations_ = 0;
-  bool limit_hit_ = false;
+struct Box {
+  std::vector<double> lower, upper;
 };
 
+/// The root bound box: the presolved bounds when presolve tightened any
+/// (else the model's), with integer bounds rounded inward so the LP
+/// relaxation never explores fractional slivers outside them.
+Box root_box(const Model& model, const PresolveResult* reduced) {
+  const int n = model.variable_count();
+  Box box;
+  box.lower.reserve(static_cast<std::size_t>(n));
+  box.upper.reserve(static_cast<std::size_t>(n));
+  for (int j = 0; j < n; ++j) {
+    const Variable& v = model.variable(VarId{j});
+    double lo = reduced ? reduced->lower[static_cast<std::size_t>(j)] : v.lower;
+    double hi = reduced ? reduced->upper[static_cast<std::size_t>(j)] : v.upper;
+    if (v.type != VarType::kContinuous) {
+      lo = std::isfinite(lo) ? std::ceil(lo - 1e-9) : lo;
+      hi = std::isfinite(hi) ? std::floor(hi + 1e-9) : hi;
+    }
+    box.lower.push_back(lo);
+    box.upper.push_back(hi);
+  }
+  return box;
+}
+
 // ---------------------------------------------------------------------------
-// Parallel tree search (MilpOptions::threads > 0).
+// Tree search.
 //
-// N workers each own a private warm-started LpSolver plus the per-worker
-// materialization scratch (bound box, stamps).  Open nodes live in a shared
+// T workers (MilpOptions::threads, at least one) each own a private
+// warm-started LpSolver plus the per-worker materialization scratch (bound
+// box, stamps); the calling thread is always worker 0.  Every node goes
+// through the same `expand`; two schedules decide which worker expands
+// which node and when its side effects reach the shared state.
+//
+// Asynchronous work stealing (threads >= 1).  Open nodes live in a shared
 // pool: a global best-first heap (pool_mutex_) plus one small dive stack per
 // worker — a worker pushes the nearer child of its last branch onto its own
-// stack (preserving the serial solver's dive locality, which is what makes
-// dual-simplex warm starts cheap) and publishes the other child to the
-// global heap.  An idle worker takes from its stack, then the global heap,
-// then steals the *oldest* entry of another worker's stack (best bound,
-// least disruption to the victim's dive).
-//
-// The incumbent objective is a lock-free atomic so bound pruning takes
-// effect across all workers immediately; the incumbent vector itself is
-// guarded by a mutex.  Termination uses an `outstanding_` node count:
+// stack (dive locality is what makes dual-simplex warm starts cheap) and
+// publishes the other child to the global heap.  An idle worker takes from
+// its stack, then the global heap, then steals the *oldest* entry of
+// another worker's stack (best bound, least disruption to the victim's
+// dive).  The incumbent objective is a lock-free atomic so bound pruning
+// takes effect across all workers immediately; the incumbent vector itself
+// is guarded by a mutex.  Termination uses an `outstanding_` node count:
 // children are registered before their parent retires, so the count only
 // reaches zero when the tree is exhausted.
 //
-// `deterministic` switches to an epoch-synchronized schedule: each round the
-// coordinator (worker 0, the calling thread) pops the T best open nodes,
-// assigns batch[i] to worker i, and after a barrier merges all side effects
-// — incumbents, children (which get their seq numbers here), pseudocost
-// updates — in worker-index order.  Workers only read shared state
-// snapshotted at the epoch start, so repeated runs with the same thread
-// count produce bit-identical incumbent trajectories and node counts
-// (unless the run is cut short by the wall-clock limit or cancellation,
-// which stop at a timing-dependent epoch).
-class ParallelBranchAndBound {
+// Epochs (`deterministic`, or threads = 0 with one worker).  Each round the
+// coordinator (worker 0) pops the T best open nodes, assigns batch[i] to
+// worker i, and after a barrier merges all side effects — incumbents,
+// children (which get their seq numbers here), pseudocost updates — in
+// worker-index order.  Workers only read shared state snapshotted at the
+// epoch start plus their own node's pseudocost observation, so repeated
+// runs with the same thread count produce bit-identical incumbent
+// trajectories and node counts (unless the run is cut short by the
+// wall-clock limit or cancellation, which stop at a timing-dependent
+// epoch).  With one worker this is a plain best-first (or depth-first)
+// search in which every node branches on statistics that already include
+// its own observation.
+class BranchAndBound {
  public:
-  ParallelBranchAndBound(const Model& model, const MilpOptions& options,
-                         const std::vector<double>* presolved_lower = nullptr,
-                         const std::vector<double>* presolved_upper = nullptr)
-      : model_(model), options_(options), start_(Clock::now()) {
-    const int n = model.variable_count();
-    root_lower_.reserve(static_cast<std::size_t>(n));
-    root_upper_.reserve(static_cast<std::size_t>(n));
-    for (int j = 0; j < n; ++j) {
-      const Variable& v = model.variable(VarId{j});
-      double lo = presolved_lower ? (*presolved_lower)[static_cast<std::size_t>(j)] : v.lower;
-      double hi = presolved_upper ? (*presolved_upper)[static_cast<std::size_t>(j)] : v.upper;
-      if (v.type != VarType::kContinuous) {
-        lo = std::isfinite(lo) ? std::ceil(lo - 1e-9) : lo;
-        hi = std::isfinite(hi) ? std::floor(hi + 1e-9) : hi;
-      }
-      root_lower_.push_back(lo);
-      root_upper_.push_back(hi);
-    }
-    pc_down_sum_.assign(static_cast<std::size_t>(n), 0.0);
-    pc_down_count_.assign(static_cast<std::size_t>(n), 0);
-    pc_up_sum_.assign(static_cast<std::size_t>(n), 0.0);
-    pc_up_count_.assign(static_cast<std::size_t>(n), 0);
-    imp_down_sum_.assign(static_cast<std::size_t>(n), 0.0);
-    imp_up_sum_.assign(static_cast<std::size_t>(n), 0.0);
+  /// `root` is the bound box every node's branching decisions start from.
+  BranchAndBound(const Model& model, const MilpOptions& options, const Box& root)
+      : model_(model),
+        options_(options),
+        start_(Clock::now()),
+        epochs_(options.deterministic || options.threads == 0),
+        root_lower_(root.lower),
+        root_upper_(root.upper) {
+    const std::size_t n = static_cast<std::size_t>(model.variable_count());
+    pc_down_.resize(n);
+    pc_up_.resize(n);
     threads_ = std::clamp(options.threads, 1, 64);
     launched_ = threads_;
     workers_.reserve(static_cast<std::size_t>(threads_));
@@ -694,7 +246,7 @@ class ParallelBranchAndBound {
       incumbent_score_.store(min_score(model_.objective_value(*incumbent_values_)),
                              std::memory_order_relaxed);
     }
-    return options_.deterministic ? run_epochs() : run_async();
+    return epochs_ ? run_epochs() : run_async();
   }
 
  private:
@@ -711,20 +263,43 @@ class ParallelBranchAndBound {
     std::vector<int> touched;
     std::int64_t epoch = 0;
     MilpWorkerStats stats;
-    std::mutex local_mutex;  ///< guards `local` (async mode; stealable)
+    std::mutex local_mutex;  ///< guards `local` (async schedule; stealable)
     std::vector<Node> local;  ///< private dive stack; back = newest
   };
 
+  /// The bound degradation one branch caused, as `node`'s LP reports it:
+  /// `per_unit` feeds the pseudocosts, `gain` the impact estimates.
+  struct Observation {
+    int var = -1;  ///< branching variable; -1 = nothing observed
+    bool up = false;
+    double per_unit = 0.0;
+    double gain = 0.0;
+  };
+
+  /// Observation sums of one branching direction (per variable, or over
+  /// all variables).
+  struct BranchStats {
+    double pc_sum = 0.0;
+    double imp_sum = 0.0;
+    std::int64_t count = 0;
+    void add(const Observation& o) {
+      pc_sum += o.per_unit;
+      imp_sum += o.gain;
+      ++count;
+    }
+  };
+
   /// Everything one node expansion produces, computed without touching
-  /// shared search state: the LP verdict, branch children in serial push
-  /// order (seq unassigned — numbering is a property of the publish, not
-  /// the worker), and an integral candidate point if one was found.
-  /// Pruning decisions inside `expand` use the caller's snapshot of the
-  /// shared incumbent score.
+  /// shared search state: the LP verdict, the node's pseudocost
+  /// observation, branch children in push order (seq unassigned —
+  /// numbering is a property of the publish, not the worker), and an
+  /// integral candidate point if one was found.  Pruning decisions inside
+  /// `expand` use the caller's snapshot of the shared incumbent score.
   struct NodeOutcome {
     Node node;
     LpStatus lp_status = LpStatus::kInfeasible;
     double node_score = kInfinity;
+    Observation observation;
     std::optional<std::vector<double>> candidate;
     std::vector<Node> children;
   };
@@ -770,7 +345,7 @@ class ParallelBranchAndBound {
     return false;
   }
 
-  // ---- node expansion (shared by both modes) -------------------------------
+  // ---- node expansion (shared by both schedules) ---------------------------
 
   void materialize(Worker& w, const Node& node) const {
     for (const int v : w.touched) {
@@ -807,26 +382,43 @@ class ParallelBranchAndBound {
     return best;
   }
 
-  /// Same blended pseudocost + impact product rule as the serial solver,
-  /// under the shared statistics mutex.
-  int select_branch_var(const std::vector<double>& values) {
+  /// Branching score over the fractional variables: the classic pseudocost
+  /// product rule, blended with impact estimates (absolute objective
+  /// degradation per branch).  A variable's own statistics are trusted only
+  /// after `branch_reliability` observations in that direction; the global
+  /// averages stand in below the threshold, and until any observation
+  /// exists at all the most-fractional variable is used.
+  ///
+  /// `own` is the expanding node's observation, which the epoch schedule
+  /// records only at the merge (async callers pass none).  It is folded in
+  /// here with the same additions `record` makes, so every node branches on
+  /// statistics that already include its own observation.
+  int select_branch_var(const std::vector<double>& values, const Observation& own) {
     std::lock_guard<std::mutex> lk(pc_mutex_);
-    const std::int64_t total = pc_observations_down_ + pc_observations_up_;
-    if (!options_.pseudocost_branching || total == 0) return most_fractional(values);
+    auto fold = [&own](BranchStats stats, bool up, bool same_var) {
+      if (own.var >= 0 && own.up == up && same_var) stats.add(own);
+      return stats;
+    };
+    const BranchStats all_down = fold(pc_total_down_, false, true);
+    const BranchStats all_up = fold(pc_total_up_, true, true);
+    if (!options_.pseudocost_branching || all_down.count + all_up.count == 0) {
+      return most_fractional(values);
+    }
     const double avg_down =
-        pc_observations_down_ > 0 ? pc_total_down_ / static_cast<double>(pc_observations_down_) : 1.0;
+        all_down.count > 0 ? all_down.pc_sum / static_cast<double>(all_down.count) : 1.0;
     const double avg_up =
-        pc_observations_up_ > 0 ? pc_total_up_ / static_cast<double>(pc_observations_up_) : 1.0;
+        all_up.count > 0 ? all_up.pc_sum / static_cast<double>(all_up.count) : 1.0;
     const double avg_imp_down =
-        pc_observations_down_ > 0 ? imp_total_down_ / static_cast<double>(pc_observations_down_) : 1.0;
+        all_down.count > 0 ? all_down.imp_sum / static_cast<double>(all_down.count) : 1.0;
     const double avg_imp_up =
-        pc_observations_up_ > 0 ? imp_total_up_ / static_cast<double>(pc_observations_up_) : 1.0;
+        all_up.count > 0 ? all_up.imp_sum / static_cast<double>(all_up.count) : 1.0;
     const std::int64_t reliability = std::max(options_.branch_reliability, 1);
     const double iw =
         options_.impact_branching ? std::clamp(options_.impact_weight, 0.0, 1.0) : 0.0;
     int best = -1;
     double best_score = -1.0;
     double best_distance_to_half = 1.0;
+    bool best_reliable = false;
     for (int j = 0; j < model_.variable_count(); ++j) {
       if (model_.variable(VarId{j}).type == VarType::kContinuous) continue;
       const double v = values[static_cast<std::size_t>(j)];
@@ -834,16 +426,15 @@ class ParallelBranchAndBound {
       const double frac = std::min(down_frac, 1.0 - down_frac);
       if (frac <= options_.integrality_tolerance) continue;
       const std::size_t sj = static_cast<std::size_t>(j);
-      const bool down_reliable = pc_down_count_[sj] >= reliability;
-      const bool up_reliable = pc_up_count_[sj] >= reliability;
-      const double pcd =
-          down_reliable ? pc_down_sum_[sj] / static_cast<double>(pc_down_count_[sj]) : avg_down;
-      const double pcu =
-          up_reliable ? pc_up_sum_[sj] / static_cast<double>(pc_up_count_[sj]) : avg_up;
+      const BranchStats down = fold(pc_down_[sj], false, j == own.var);
+      const BranchStats up = fold(pc_up_[sj], true, j == own.var);
+      const bool down_reliable = down.count >= reliability;
+      const bool up_reliable = up.count >= reliability;
+      const double pcd = down_reliable ? down.pc_sum / static_cast<double>(down.count) : avg_down;
+      const double pcu = up_reliable ? up.pc_sum / static_cast<double>(up.count) : avg_up;
       const double impd =
-          down_reliable ? imp_down_sum_[sj] / static_cast<double>(pc_down_count_[sj]) : avg_imp_down;
-      const double impu =
-          up_reliable ? imp_up_sum_[sj] / static_cast<double>(pc_up_count_[sj]) : avg_imp_up;
+          down_reliable ? down.imp_sum / static_cast<double>(down.count) : avg_imp_down;
+      const double impu = up_reliable ? up.imp_sum / static_cast<double>(up.count) : avg_imp_up;
       const double est_down = (1.0 - iw) * pcd * down_frac + iw * impd;
       const double est_up = (1.0 - iw) * pcu * (1.0 - down_frac) + iw * impu;
       const double score = std::max(est_down, 1e-6) * std::max(est_up, 1e-6);
@@ -853,11 +444,11 @@ class ParallelBranchAndBound {
         best = j;
         best_score = score;
         best_distance_to_half = distance_to_half;
+        best_reliable = down_reliable && up_reliable;
       }
     }
     if (best != -1) {
-      const std::size_t sb = static_cast<std::size_t>(best);
-      if (iw > 0.0 && pc_down_count_[sb] >= reliability && pc_up_count_[sb] >= reliability) {
+      if (iw > 0.0 && best_reliable) {
         ++impact_decisions_;
       } else {
         ++pseudocost_decisions_;
@@ -866,31 +457,26 @@ class ParallelBranchAndBound {
     return best;
   }
 
-  void update_pseudocost(const Node& node, double node_score) {
+  /// The observation `node`'s LP bound `node_score` makes about the branch
+  /// that created it; none for the root (whose parent bound is unknown).
+  static Observation observe(const Node& node, double node_score) {
     const double gain = std::max(node_score - node.bound_score, 0.0);
-    if (!std::isfinite(gain)) return;
-    const double per_unit = gain / std::max(node.branch_dist, 1e-6);
-    const std::size_t v = static_cast<std::size_t>(node.branch_var);
-    std::lock_guard<std::mutex> lk(pc_mutex_);
-    if (node.branch_up) {
-      pc_up_sum_[v] += per_unit;
-      imp_up_sum_[v] += gain;
-      ++pc_up_count_[v];
-      pc_total_up_ += per_unit;
-      imp_total_up_ += gain;
-      ++pc_observations_up_;
-    } else {
-      pc_down_sum_[v] += per_unit;
-      imp_down_sum_[v] += gain;
-      ++pc_down_count_[v];
-      pc_total_down_ += per_unit;
-      imp_total_down_ += gain;
-      ++pc_observations_down_;
-    }
+    if (node.branch_var < 0 || !std::isfinite(gain)) return {};
+    return Observation{node.branch_var, node.branch_up,
+                       gain / std::max(node.branch_dist, 1e-6), gain};
   }
 
-  /// Serial `branch` twin: emits children into `out.children` in the serial
-  /// push order (nearer child last) using `w`'s materialized box.
+  void record(const Observation& o) {
+    if (o.var < 0) return;
+    const std::size_t v = static_cast<std::size_t>(o.var);
+    std::lock_guard<std::mutex> lk(pc_mutex_);
+    (o.up ? pc_up_ : pc_down_)[v].add(o);
+    (o.up ? pc_total_up_ : pc_total_down_).add(o);
+  }
+
+  /// Creates the two children of the expanded node around `branch_var` in
+  /// push order (nearer child last), using `w`'s materialized box so
+  /// ancestor tightenings carry over.
   void emit_children(const Worker& w, NodeOutcome& out, int branch_var,
                      const std::vector<double>& values) {
     const std::size_t v = static_cast<std::size_t>(branch_var);
@@ -950,9 +536,10 @@ class ParallelBranchAndBound {
     if (lp.status != LpStatus::kOptimal) return out;
 
     out.node_score = min_score(lp.objective);
+    out.observation = observe(out.node, out.node_score);
     if (out.node_score >= incumbent_score - options_.absolute_gap) return out;
 
-    const int branch_var = select_branch_var(lp.values);
+    const int branch_var = select_branch_var(lp.values, epochs_ ? out.observation : Observation{});
     if (branch_var == -1) {
       std::vector<double> snapped = lp.values;
       for (int j = 0; j < model_.variable_count(); ++j) {
@@ -991,18 +578,30 @@ class ParallelBranchAndBound {
     return bound_score >= incumbent_score_.load(std::memory_order_relaxed) - options_.absolute_gap;
   }
 
-  void offer_incumbent(std::vector<double> point) {
+  /// Adopts `point` when it beats the incumbent; returns whether it did.
+  bool offer_incumbent(std::vector<double> point) {
     const double score = min_score(model_.objective_value(point));
     std::lock_guard<std::mutex> lk(incumbent_mutex_);
-    if (score < incumbent_score_.load(std::memory_order_relaxed)) {
-      incumbent_values_ = std::move(point);
-      incumbent_score_.store(score, std::memory_order_relaxed);
-      log_debug("milp: new incumbent ", user_value(score), " after ",
-                nodes_.load(std::memory_order_relaxed), " nodes");
-    }
+    if (score >= incumbent_score_.load(std::memory_order_relaxed)) return false;
+    incumbent_values_ = std::move(point);
+    incumbent_score_.store(score, std::memory_order_relaxed);
+    log_debug("milp: new incumbent ", user_value(score), " after ",
+              nodes_.load(std::memory_order_relaxed), " nodes");
+    return true;
   }
 
-  // ---- asynchronous work-stealing mode -------------------------------------
+  /// Side effects of an LP-optimal expansion that both schedules apply
+  /// (children aside): root bound or pseudocost observation, and the
+  /// incumbent candidate.  Returns whether the incumbent improved.
+  bool apply_optimal(NodeOutcome& out) {
+    if (out.node.branch_var < 0) {
+      root_bound_score_.store(out.node_score, std::memory_order_relaxed);
+    }
+    record(out.observation);
+    return out.candidate.has_value() && offer_incumbent(std::move(*out.candidate));
+  }
+
+  // ---- asynchronous work-stealing schedule ---------------------------------
 
   MilpResult run_async() {
     global_.push_back(Node{});
@@ -1121,12 +720,7 @@ class ParallelBranchAndBound {
       case LpStatus::kOptimal:
         break;
     }
-    if (out.node.branch_var >= 0) {
-      update_pseudocost(out.node, out.node_score);
-    } else {
-      root_bound_score_.store(out.node_score, std::memory_order_relaxed);
-    }
-    if (out.candidate.has_value()) offer_incumbent(std::move(*out.candidate));
+    apply_optimal(out);
     if (out.children.empty()) return;
 
     for (Node& child : out.children) {
@@ -1134,7 +728,7 @@ class ParallelBranchAndBound {
     }
     outstanding_.fetch_add(static_cast<std::int64_t>(out.children.size()),
                            std::memory_order_acq_rel);
-    // The nearer child (serial push order puts it last) dives on w's own
+    // The nearer child (push order puts it last) dives on w's own
     // stack; any sibling is published to the global heap.
     Node near = std::move(out.children.back());
     out.children.pop_back();
@@ -1201,10 +795,10 @@ class ParallelBranchAndBound {
     work_cv_.notify_all();
   }
 
-  // ---- deterministic epoch mode --------------------------------------------
+  // ---- epoch schedule ------------------------------------------------------
 
   MilpResult run_epochs() {
-    global_.push_back(Node{});  // coordinator-owned in this mode; no locking
+    global_.push_back(Node{});  // coordinator-owned in this schedule; no locking
     batch_.reserve(static_cast<std::size_t>(threads_));
     outcomes_.resize(static_cast<std::size_t>(threads_));
 
@@ -1270,6 +864,7 @@ class ParallelBranchAndBound {
 
       // Merge side effects in worker-index order — this fixed order (not
       // completion order) is what makes the schedule reproducible.
+      bool improved = false;
       for (int i = 0; i < batch_size && !stop_all; ++i) {
         NodeOutcome& out = outcomes_[static_cast<std::size_t>(i)];
         switch (out.lp_status) {
@@ -1286,12 +881,7 @@ class ParallelBranchAndBound {
           case LpStatus::kCutoff:
             break;
           case LpStatus::kOptimal: {
-            if (out.node.branch_var >= 0) {
-              update_pseudocost(out.node, out.node_score);
-            } else {
-              root_bound_score_.store(out.node_score, std::memory_order_relaxed);
-            }
-            if (out.candidate.has_value()) offer_incumbent(std::move(*out.candidate));
+            if (apply_optimal(out)) improved = true;
             for (Node& child : out.children) {
               child.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
               global_.push_back(std::move(child));
@@ -1306,7 +896,7 @@ class ParallelBranchAndBound {
         arena_.release(out.node.chain);
         out.node.chain = ChainArena::kNull;
       }
-      if ((processed & 0x7f) < batch_size) report_progress(false);
+      if (improved || (processed & 0x7f) < batch_size) report_progress(improved);
     }
 
     {
@@ -1346,32 +936,49 @@ class ParallelBranchAndBound {
 
   // ---- reporting / result --------------------------------------------------
 
-  /// Worker 0 / coordinator only (the timestamps are unsynchronized).
+  /// Emits the B&B progress telemetry: trace counter samples (incumbent,
+  /// open nodes and, on the epoch schedule, the proven bound; one track set
+  /// per thread so concurrent solves do not interleave) plus an INFO
+  /// heartbeat.  Rate-limited unless forced; called every 128 nodes, on
+  /// each epoch that improves the incumbent, and once at the end, so the
+  /// cost with tracing and INFO logging off is a branch per call.  Worker 0
+  /// / coordinator only (the timestamps are unsynchronized).
   void report_progress(bool force) {
     const bool tracing = obs::tracing_enabled();
     const bool logging = log_level() <= LogLevel::kInfo;
     if (!tracing && !logging) return;
     const Clock::time_point now = Clock::now();
+    const bool sample =
+        tracing && (force || now - last_counter_emit_ >= std::chrono::milliseconds(20));
+    const bool heartbeat = logging && now - last_heartbeat_ >= std::chrono::seconds(5);
+    if (!sample && !heartbeat) return;
     const double inc = incumbent_score_.load(std::memory_order_relaxed);
-    const std::int64_t open = outstanding_.load(std::memory_order_relaxed);
-    if (tracing && (force || now - last_counter_emit_ >= std::chrono::milliseconds(20))) {
+    // Between epochs the coordinator owns the open list, so it reports the
+    // open nodes and their bound exactly; async workers share only the
+    // outstanding (open + in-flight) count.
+    const std::int64_t open = epochs_ ? static_cast<std::int64_t>(global_.size())
+                                      : outstanding_.load(std::memory_order_relaxed);
+    const double bound = epochs_ ? remaining_bound_score() : kInfinity;
+    if (sample) {
       last_counter_emit_ = now;
       obs::Tracer& tracer = obs::Tracer::instance();
       const std::string suffix = " t" + std::to_string(current_thread_id());
       if (std::isfinite(inc)) tracer.counter("ilp", "milp incumbent" + suffix, user_value(inc));
+      if (std::isfinite(bound)) tracer.counter("ilp", "milp bound" + suffix, user_value(bound));
       tracer.counter("ilp", "milp open_nodes" + suffix, static_cast<double>(open));
     }
-    if (logging && now - last_heartbeat_ >= std::chrono::seconds(5)) {
+    if (heartbeat) {
       last_heartbeat_ = now;
       log_info("milp[", launched_, "t]: ", nodes_.load(std::memory_order_relaxed),
                " nodes, incumbent ",
                std::isfinite(inc) ? detail::concat(user_value(inc)) : std::string("none"),
+               epochs_ ? ", bound " + detail::concat(user_value(bound)) : std::string(),
                ", open ", open);
     }
   }
 
   /// Tightest proven bound over everything still unexplored; only valid
-  /// once all workers have stopped.
+  /// while no worker runs (between epochs, or after the search).
   double remaining_bound_score() const {
     double bound = pending_bound_.load(std::memory_order_relaxed);
     for (const Node& node : global_) bound = std::min(bound, node.bound_score);
@@ -1431,14 +1038,14 @@ class ParallelBranchAndBound {
   const Model& model_;
   const MilpOptions& options_;
   Clock::time_point start_;
-  int threads_ = 1;   ///< configured worker count
-  int launched_ = 1;  ///< workers that actually ran (pool borrows can be rejected)
-
-  std::vector<double> root_lower_, root_upper_;
+  const bool epochs_;  ///< epoch schedule (deterministic, or threads = 0)
+  const std::vector<double> root_lower_, root_upper_;
+  int threads_ = 1;    ///< configured worker count
+  int launched_ = 1;   ///< workers that actually ran (pool borrows can be rejected)
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  // Shared node pool.  Async mode: guarded by pool_mutex_.  Deterministic
-  // mode: coordinator-owned, helpers never touch it.
+  // Shared node pool.  Async schedule: guarded by pool_mutex_.  Epoch
+  // schedule: coordinator-owned, helpers never touch it.
   std::mutex pool_mutex_;
   std::condition_variable work_cv_;
   ChainArena arena_;
@@ -1448,12 +1055,8 @@ class ParallelBranchAndBound {
   std::atomic<std::int64_t> nodes_{0};
 
   std::mutex pc_mutex_;  ///< pseudocost + impact tables
-  std::vector<double> pc_down_sum_, pc_up_sum_;
-  std::vector<double> imp_down_sum_, imp_up_sum_;
-  std::vector<std::int64_t> pc_down_count_, pc_up_count_;
-  double pc_total_down_ = 0.0, pc_total_up_ = 0.0;
-  double imp_total_down_ = 0.0, imp_total_up_ = 0.0;
-  std::int64_t pc_observations_down_ = 0, pc_observations_up_ = 0;
+  std::vector<BranchStats> pc_down_, pc_up_;  ///< per variable
+  BranchStats pc_total_down_, pc_total_up_;  ///< over all variables
   std::int64_t impact_decisions_ = 0, pseudocost_decisions_ = 0;
 
   // Incumbent: the score is read lock-free on every pruning decision; the
@@ -1469,7 +1072,7 @@ class ParallelBranchAndBound {
   std::atomic<bool> limit_hit_{false};
   std::atomic<bool> unbounded_{false};
 
-  // Deterministic-mode epoch plumbing (all under epoch_mutex_; batch_ and
+  // Epoch-schedule plumbing (all under epoch_mutex_; batch_ and
   // outcomes_ slots are handed off through the generation bump / barrier).
   std::mutex epoch_mutex_;
   std::condition_variable epoch_cv_, epoch_done_cv_;
@@ -1484,10 +1087,6 @@ class ParallelBranchAndBound {
   Clock::time_point last_counter_emit_{};
   Clock::time_point last_heartbeat_{};
 };
-
-}  // namespace
-
-namespace {
 
 const char* status_name(MilpStatus status) {
   switch (status) {
@@ -1509,46 +1108,23 @@ MilpResult solve_milp(const Model& model, const MilpOptions& options) {
     span.arg("constraints", model.constraint_count());
   }
   MilpResult result = [&] {
-    auto run_tree = [&](const Model& m, const PresolveResult* reduced) {
-      if (options.threads > 0) {
-        ParallelBranchAndBound solver(m, options, reduced ? &reduced->lower : nullptr,
-                                      reduced ? &reduced->upper : nullptr);
-        return solver.run();
-      }
-      BranchAndBound solver(m, options, reduced ? &reduced->lower : nullptr,
-                            reduced ? &reduced->upper : nullptr);
-      return solver.run();
-    };
     // Root cutting-plane loop: tighten the relaxation once under the root
     // bound box, then run the tree search on the model extended by the
     // retained cut rows.  The cuts are satisfied by every integer point of
     // the box, so the search space — and the optimum — are unchanged; only
     // the LP bound gets stronger.  The extension keeps the variable set
-    // intact, so presolved bound vectors still apply verbatim.
+    // intact, so the root box still applies verbatim.
     auto search = [&](const PresolveResult* reduced) {
+      const Box box = root_box(model, reduced);
+      auto run_tree = [&](const Model& m) { return BranchAndBound(m, options, box).run(); };
       if (!options.cut_options.enabled || !model.has_integer_variables()) {
-        return run_tree(model, reduced);
+        return run_tree(model);
       }
-      const int n = model.variable_count();
-      std::vector<double> lo, hi;
-      lo.reserve(static_cast<std::size_t>(n));
-      hi.reserve(static_cast<std::size_t>(n));
-      for (int j = 0; j < n; ++j) {
-        const Variable& v = model.variable(VarId{j});
-        double l = reduced ? reduced->lower[static_cast<std::size_t>(j)] : v.lower;
-        double h = reduced ? reduced->upper[static_cast<std::size_t>(j)] : v.upper;
-        if (v.type != VarType::kContinuous) {
-          l = std::isfinite(l) ? std::ceil(l - 1e-9) : l;
-          h = std::isfinite(h) ? std::floor(h + 1e-9) : h;
-        }
-        lo.push_back(l);
-        hi.push_back(h);
-      }
-      RootCutOutcome rc =
-          run_root_cut_loop(model, lo, hi, options.lp, options.cut_options, options.cancel);
+      RootCutOutcome rc = run_root_cut_loop(model, box.lower, box.upper, options.lp,
+                                            options.cut_options, options.cancel);
       MilpResult r;
       if (rc.cuts.empty()) {
-        r = run_tree(model, reduced);
+        r = run_tree(model);
       } else {
         Model extended = model;
         for (const Cut& cut : rc.cuts) {
@@ -1558,7 +1134,7 @@ MilpResult solve_milp(const Model& model, const MilpOptions& options) {
           }
           extended.add_constraint(std::move(expr), Relation::kLessEqual, cut.rhs, "cut");
         }
-        r = run_tree(extended, reduced);
+        r = run_tree(extended);
       }
       r.cuts = rc.stats;
       r.lp.accumulate(rc.lp);
@@ -1580,8 +1156,6 @@ MilpResult solve_milp(const Model& model, const MilpOptions& options) {
     }
     return search(nullptr);
   }();
-  result.lp_basis = options.lp.basis;
-  result.lp_pricing = options.lp.pricing;
   if (span.active()) {
     span.arg("status", status_name(result.status));
     span.arg("nodes", result.nodes);

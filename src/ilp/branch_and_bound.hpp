@@ -9,13 +9,15 @@
 // wall-clock limits with best-found reporting, and a rounding primal
 // heuristic at every node.
 //
-// With `MilpOptions::threads > 0` the tree search runs in parallel: N
-// workers pull bound-ordered nodes from a shared pool (global best-first
-// heap plus per-worker dive stacks with stealing), each worker owns a
-// private warm-started `LpSolver`, and the incumbent is shared through an
-// atomic objective so bound pruning takes effect across all workers
-// immediately.  `deterministic` trades throughput for bit-identical
-// reruns via an epoch-synchronized node-to-worker schedule.
+// One search engine, two schedules.  Each worker owns a private
+// warm-started `LpSolver`, and the incumbent is shared through an atomic
+// objective so bound pruning takes effect across all workers immediately.
+// `MilpOptions::threads >= 1` runs N asynchronous workers that pull
+// bound-ordered nodes from a shared pool (global best-first heap plus
+// per-worker dive stacks with stealing).  `deterministic`, and the default
+// `threads = 0`, run an epoch-synchronized node-to-worker schedule whose
+// reruns are bit-identical; `threads = 0` is that schedule with a single
+// worker on the calling thread.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +49,7 @@ enum class NodeOrder {
   kDepthFirst,  ///< classic diving: newest node first
 };
 
-/// Per-worker counters of one parallel search (empty for serial solves).
+/// Per-worker counters of one tree search.
 struct MilpWorkerStats {
   std::int64_t nodes = 0;   ///< LP relaxations this worker solved
   std::int64_t steals = 0;  ///< nodes taken from another worker's local stack
@@ -63,13 +65,9 @@ struct MilpResult {
   std::int64_t nodes = 0;      ///< LP relaxations solved
   std::int64_t lp_iterations = 0;  ///< simplex iterations across all nodes
   /// LP engine counters for this solve: warm/cold solves, primal/dual
-  /// pivots, bound flips, refactorizations, LU/eta telemetry.  For parallel
-  /// solves this is the sum over every worker's private solver.
+  /// pivots, bound flips, refactorizations, LU/eta telemetry, summed over
+  /// every worker's private solver.
   LpSolverStats lp;
-  /// LP engine configuration this solve actually ran with (echoed so
-  /// telemetry consumers need not thread the options through separately).
-  BasisKind lp_basis = BasisKind::kSparseLu;
-  PricingRule lp_pricing = PricingRule::kDevex;
 
   // ---- root cut loop + node-store + branching telemetry -----------------
   /// Counters of the root cutting-plane loop (zeros when cuts are off; the
@@ -83,11 +81,13 @@ struct MilpResult {
   std::int64_t impact_branch_decisions = 0;
   std::int64_t pseudocost_branch_decisions = 0;
 
-  // ---- parallel-search telemetry (zeros / empty for the serial path) ----
-  int threads = 0;             ///< workers used; 0 = inline serial search
+  // ---- worker telemetry ------------------------------------------------
+  /// Workers that ran: 1 for `MilpOptions::threads = 0`; 0 when presolve
+  /// settled the model before the tree search started.
+  int threads = 0;
   std::int64_t steals = 0;     ///< total cross-worker node steals
   double idle_seconds = 0.0;  ///< summed worker idle time
-  /// busy_time / (threads * wall); 1.0 for the serial path.
+  /// busy_time / (threads * wall).
   double parallel_efficiency = 1.0;
   std::vector<MilpWorkerStats> worker_stats;
 };
@@ -129,23 +129,25 @@ struct MilpOptions {
   /// wall-clock limits; the best incumbent found so far is still returned.
   CancelToken cancel;
 
-  // ---- parallel tree search -------------------------------------------------
-  /// Workers exploring the tree concurrently.  0 runs the original inline
-  /// serial search (bit-identical to the pre-parallel solver); N >= 1 runs
-  /// N workers, each with a private warm-started LpSolver, pulling
-  /// bound-ordered nodes from a shared pool (global best-first heap +
-  /// per-worker dive stacks with stealing) under a shared incumbent.
+  // ---- tree-search workers --------------------------------------------------
+  /// Workers exploring the tree, each with a private warm-started LpSolver.
+  /// 0 (the default) runs one worker on the calling thread on the epoch
+  /// schedule below, so the search is reproducible.  N >= 1 runs N
+  /// asynchronous workers pulling bound-ordered nodes from a shared pool
+  /// (global best-first heap + per-worker dive stacks with stealing) under
+  /// a shared incumbent.
   int threads = 0;
-  /// Fixes the node-to-worker schedule into synchronized epochs: each
-  /// round, the T best open nodes are assigned to workers by index and all
-  /// side effects (incumbents, children, pseudocosts) are merged in worker
-  /// order at a barrier.  Repeated runs with the same thread count give
+  /// Runs N >= 1 workers on synchronized epochs instead: each round, the T
+  /// best open nodes are assigned to workers by index and all side effects
+  /// (incumbents, children, pseudocosts) are merged in worker order at a
+  /// barrier; each worker branches on the epoch's statistics plus its own
+  /// node's observation.  Repeated runs with the same thread count give
   /// bit-identical incumbent trajectories and node counts — provided the
   /// solve is not stopped by the wall-clock limit or cancellation (those
-  /// cut the schedule at a timing-dependent epoch).  Slower than the
-  /// default asynchronous search; meant for tests and reproducibility.
+  /// cut the schedule at a timing-dependent epoch).  With N > 1 slower than
+  /// the asynchronous schedule, which it trades for reproducibility.
   bool deterministic = false;
-  /// Optional worker substrate: when set (asynchronous mode only), helper
+  /// Optional worker substrate: when set (asynchronous schedule only), helper
   /// workers are borrowed from this pool with a non-blocking submit instead
   /// of spawning threads, so e.g. the svc batch service and parallel B&B
   /// share one pool without oversubscription.  The calling thread always

@@ -125,9 +125,7 @@ std::string stored_result_to_json(const StoredResult& stored) {
      << ", \"cut_rounds\": " << r.milp_cuts.rounds
      << ", \"impact_branch_decisions\": " << r.milp_impact_branch_decisions
      << ", \"pseudocost_branch_decisions\": " << r.milp_pseudocost_branch_decisions
-     << ", \"arena_bytes\": " << r.milp_arena_bytes
-     << ", \"basis\": \"" << ilp::to_string(r.milp_basis) << "\", \"pricing\": \""
-     << ilp::to_string(r.milp_pricing) << "\"}\n";
+     << ", \"arena_bytes\": " << r.milp_arena_bytes << "}\n";
   os << "}\n";
   return os.str();
 }
@@ -229,14 +227,6 @@ StoredResult stored_result_from_json(const std::string& text) {
   if (solver.has("pseudocost_branch_decisions"))
     r.milp_pseudocost_branch_decisions = solver.at("pseudocost_branch_decisions").as_int();
   if (solver.has("arena_bytes")) r.milp_arena_bytes = solver.at("arena_bytes").as_int();
-  if (solver.has("basis")) {
-    check_input(ilp::basis_kind_from_string(solver.at("basis").as_string(), &r.milp_basis),
-                "unknown solver basis kind");
-  }
-  if (solver.has("pricing")) {
-    check_input(ilp::pricing_rule_from_string(solver.at("pricing").as_string(), &r.milp_pricing),
-                "unknown solver pricing rule");
-  }
   return stored;
 }
 

@@ -23,7 +23,7 @@ struct IlpScheduleOptions {
   double time_limit_seconds = 60.0;
   long max_nodes = 200'000;
   int transport_delay = assay::kTransportDelay;
-  /// Parallel tree-search workers (ilp::MilpOptions::threads); 0 = serial.
+  /// Tree-search workers (ilp::MilpOptions::threads); 0 = one reproducible worker.
   int threads = 0;
   /// LP engine configuration (basis representation, pricing rule) forwarded
   /// to the relaxation solver.

@@ -8,34 +8,6 @@
 
 namespace fsyn::svc {
 
-namespace {
-
-// Mirrors ilp::BasisKind / ilp::PricingRule enumerator values without pulling
-// the solver headers into the svc layer; -1 means "no solve recorded yet".
-const char* basis_name(int basis) {
-  switch (basis) {
-    case 0:
-      return "dense";
-    case 1:
-      return "sparse_lu";
-    default:
-      return "unknown";
-  }
-}
-
-const char* pricing_name(int pricing) {
-  switch (pricing) {
-    case 0:
-      return "dantzig";
-    case 1:
-      return "devex";
-    default:
-      return "unknown";
-  }
-}
-
-}  // namespace
-
 MetricsRegistry::MetricsRegistry() {
   // Seed the ring at construction: the very first scrape then has a
   // baseline at process start, so rates are nonzero as soon as any job has
@@ -154,8 +126,6 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   s.solver_pseudocost_branch_decisions =
       solver_pseudocost_branch_decisions_.load(std::memory_order_relaxed);
   s.solver_arena_bytes = solver_arena_bytes_.load(std::memory_order_relaxed);
-  s.solver_basis = solver_basis_.load(std::memory_order_relaxed);
-  s.solver_pricing = solver_pricing_.load(std::memory_order_relaxed);
   s.solver_threads = solver_threads_.load(std::memory_order_relaxed);
   s.solver_steals = solver_steals_.load(std::memory_order_relaxed);
   s.solver_idle_seconds =
@@ -257,8 +227,6 @@ std::string MetricsSnapshot::to_json() const {
      << "    \"impact_branch_decisions\": " << solver_impact_branch_decisions << ",\n"
      << "    \"pseudocost_branch_decisions\": " << solver_pseudocost_branch_decisions << ",\n"
      << "    \"arena_bytes\": " << solver_arena_bytes << ",\n"
-     << "    \"basis\": \"" << basis_name(solver_basis) << "\",\n"
-     << "    \"pricing\": \"" << pricing_name(solver_pricing) << "\",\n"
      << "    \"threads\": " << solver_threads << ",\n"
      << "    \"steals\": " << solver_steals << ",\n"
      << "    \"idle_seconds\": " << format_fixed(solver_idle_seconds, 6) << "\n"

@@ -90,11 +90,7 @@ struct MetricsSnapshot {
   long solver_impact_branch_decisions = 0;
   long solver_pseudocost_branch_decisions = 0;
   long solver_arena_bytes = 0;  ///< max node-arena footprint of any one solve
-  /// LP engine mode of the most recent solve: ilp::BasisKind/PricingRule as
-  /// ints (0 = dense / dantzig, 1 = sparse_lu / devex), -1 before any solve.
-  int solver_basis = -1;
-  int solver_pricing = -1;
-  // Parallel-search telemetry (zeros when every solve ran serially).
+  // Tree-search worker telemetry (zeros when only the heuristic ran).
   long solver_threads = 0;  ///< max workers used by any one MILP solve
   long solver_steals = 0;
   double solver_idle_seconds = 0.0;
@@ -218,8 +214,6 @@ class MetricsRegistry {
     long impact_branch_decisions = 0;
     long pseudocost_branch_decisions = 0;
     long arena_bytes = 0;
-    int basis = -1;
-    int pricing = -1;
   };
 
   /// Folds one synthesis run's MILP solver counters into the registry.
@@ -251,8 +245,6 @@ class MetricsRegistry {
            !solver_arena_bytes_.compare_exchange_weak(arena_seen, c.arena_bytes,
                                                       std::memory_order_relaxed)) {
     }
-    if (c.basis >= 0) solver_basis_.store(c.basis, std::memory_order_relaxed);
-    if (c.pricing >= 0) solver_pricing_.store(c.pricing, std::memory_order_relaxed);
   }
 
   /// Folds one synthesis run's parallel-search counters into the registry.
@@ -342,8 +334,6 @@ class MetricsRegistry {
   std::atomic<long> solver_impact_branch_decisions_{0};
   std::atomic<long> solver_pseudocost_branch_decisions_{0};
   std::atomic<long> solver_arena_bytes_{0};
-  std::atomic<int> solver_basis_{-1};
-  std::atomic<int> solver_pricing_{-1};
   std::atomic<long> solver_threads_{0};
   std::atomic<long> solver_steals_{0};
   std::atomic<long> solver_idle_micros_{0};

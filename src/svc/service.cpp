@@ -303,10 +303,6 @@ JobResult BatchService::run_job(JobSpec& spec, Clock::time_point enqueued) {
       counters.pseudocost_branch_decisions =
           static_cast<long>(result.milp_pseudocost_branch_decisions);
       counters.arena_bytes = static_cast<long>(result.milp_arena_bytes);
-      if (result.milp_nodes > 0) {
-        counters.basis = static_cast<int>(result.milp_basis);
-        counters.pricing = static_cast<int>(result.milp_pricing);
-      }
       metrics_.record_solver(counters);
       metrics_.record_solver_parallel(result.milp_threads, result.milp_steals,
                                       result.milp_idle_seconds);

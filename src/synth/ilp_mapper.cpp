@@ -254,8 +254,6 @@ std::optional<IlpMappingOutcome> map_ilp(const MappingProblem& problem,
   outcome.nodes = result.nodes;
   outcome.lp_iterations = result.lp_iterations;
   outcome.lp = result.lp;
-  outcome.lp_basis = result.lp_basis;
-  outcome.lp_pricing = result.lp_pricing;
   outcome.cuts = result.cuts;
   outcome.arena_bytes = result.arena_bytes;
   outcome.impact_branch_decisions = result.impact_branch_decisions;

@@ -31,7 +31,7 @@ struct IlpMapperOptions {
   /// Cooperative cancellation, forwarded to the branch & bound (polled per
   /// node alongside the node/time limits).
   CancelToken cancel;
-  /// Parallel tree-search workers (ilp::MilpOptions::threads); 0 = serial.
+  /// Tree-search workers (ilp::MilpOptions::threads); 0 = one reproducible worker.
   int threads = 0;
   /// Epoch-synchronized deterministic schedule (ilp::MilpOptions::deterministic).
   bool deterministic = false;
@@ -53,14 +53,12 @@ struct IlpMappingOutcome {
   std::int64_t nodes = 0;
   std::int64_t lp_iterations = 0;
   ilp::LpSolverStats lp;  ///< LP engine counters (warm/cold solves, pivots)
-  ilp::BasisKind lp_basis = ilp::BasisKind::kSparseLu;      ///< echoed config
-  ilp::PricingRule lp_pricing = ilp::PricingRule::kDevex;   ///< echoed config
   // Root cut loop + node store + branching telemetry.
   ilp::CutStats cuts;
   std::int64_t arena_bytes = 0;
   std::int64_t impact_branch_decisions = 0;
   std::int64_t pseudocost_branch_decisions = 0;
-  // Parallel-search telemetry (zeros for serial solves).
+  // Tree-search worker telemetry.
   int threads = 0;
   std::int64_t steals = 0;
   double idle_seconds = 0.0;

@@ -160,8 +160,6 @@ std::optional<SynthesisResult> attempt_on_size(const assay::SequencingGraph& gra
   result.milp_nodes = attempt->milp_nodes;
   result.milp_lp_iterations = attempt->milp_lp_iterations;
   result.milp_lp = attempt->milp_lp;
-  result.milp_basis = options.ilp.lp.basis;
-  result.milp_pricing = options.ilp.lp.pricing;
   result.milp_cuts = attempt->milp_cuts;
   result.milp_arena_bytes = attempt->milp_arena_bytes;
   result.milp_impact_branch_decisions = attempt->milp_impact_branch_decisions;

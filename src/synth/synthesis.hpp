@@ -97,16 +97,13 @@ struct SynthesisResult {
   std::int64_t milp_nodes = 0;
   std::int64_t milp_lp_iterations = 0;
   ilp::LpSolverStats milp_lp;
-  /// LP engine configuration the MILP ran with (echoed for telemetry).
-  ilp::BasisKind milp_basis = ilp::BasisKind::kSparseLu;
-  ilp::PricingRule milp_pricing = ilp::PricingRule::kDevex;
   // Root cut loop + node store + branching telemetry, accumulated like the
   // node counters.
   ilp::CutStats milp_cuts;
   std::int64_t milp_arena_bytes = 0;  ///< max over the attempt's solves
   std::int64_t milp_impact_branch_decisions = 0;
   std::int64_t milp_pseudocost_branch_decisions = 0;
-  // Parallel-search telemetry (zeros when the search ran serially).
+  // Tree-search worker telemetry (zeros for the heuristic mapper).
   int milp_threads = 0;            ///< max workers used by any solve
   std::int64_t milp_steals = 0;    ///< summed cross-worker node steals
   double milp_idle_seconds = 0.0;

@@ -7,10 +7,12 @@
 // brute-force optimum.  A separate test drives LpSolver::resolve directly
 // and compares each dual-simplex reoptimization against a cold solve of the
 // same bound box.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include "ilp/branch_and_bound.hpp"
 #include "ilp/model.hpp"
 #include "ilp/simplex.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 
 namespace fsyn::ilp {
@@ -188,56 +191,65 @@ TEST_P(MilpFuzz, AllConfigurationsMatchEnumeration) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MilpFuzz, ::testing::Range(0, 80));
 
-/// Deterministic mode contract: same instance, same thread count -> the
-/// whole result is bit-identical, node counts and LP iterations included.
+/// Epoch-schedule contract: same instance, same thread count -> the whole
+/// result is bit-identical, node counts and LP iterations included.  The
+/// default threads = 0 runs the same schedule with one worker.
 TEST(ParallelBranchAndBound, DeterministicModeIsBitIdentical) {
   for (int round = 0; round < 12; ++round) {
     const FuzzInstance instance = make_instance(0xDE7 + 131ULL * static_cast<std::uint64_t>(round));
-    MilpOptions options;
-    options.threads = 4;
-    options.deterministic = true;
-    const MilpResult first = solve_milp(instance.model, options);
-    const MilpResult second = solve_milp(instance.model, options);
-    ASSERT_EQ(first.status, second.status) << "round " << round;
-    EXPECT_EQ(first.nodes, second.nodes) << "round " << round;
-    EXPECT_EQ(first.lp_iterations, second.lp_iterations) << "round " << round;
-    EXPECT_EQ(first.objective, second.objective) << "round " << round;  // bit-equal doubles
-    EXPECT_EQ(first.best_bound, second.best_bound) << "round " << round;
-    EXPECT_EQ(first.values, second.values) << "round " << round;
-    ASSERT_EQ(first.worker_stats.size(), second.worker_stats.size()) << "round " << round;
-    for (std::size_t w = 0; w < first.worker_stats.size(); ++w) {
-      EXPECT_EQ(first.worker_stats[w].nodes, second.worker_stats[w].nodes)
-          << "round " << round << " worker " << w;
-      EXPECT_EQ(first.worker_stats[w].lp_iterations, second.worker_stats[w].lp_iterations)
-          << "round " << round << " worker " << w;
+    for (const int threads : {0, 4}) {
+      MilpOptions options;
+      options.threads = threads;
+      options.deterministic = threads > 0;
+      const MilpResult first = solve_milp(instance.model, options);
+      const MilpResult second = solve_milp(instance.model, options);
+      const std::string where = "round " + std::to_string(round) + " threads " + std::to_string(threads);
+      ASSERT_EQ(first.status, second.status) << where;
+      EXPECT_EQ(first.nodes, second.nodes) << where;
+      EXPECT_EQ(first.lp_iterations, second.lp_iterations) << where;
+      EXPECT_EQ(first.objective, second.objective) << where;  // bit-equal doubles
+      EXPECT_EQ(first.best_bound, second.best_bound) << where;
+      EXPECT_EQ(first.values, second.values) << where;
+      ASSERT_EQ(first.worker_stats.size(), second.worker_stats.size()) << where;
+      for (std::size_t w = 0; w < first.worker_stats.size(); ++w) {
+        EXPECT_EQ(first.worker_stats[w].nodes, second.worker_stats[w].nodes)
+            << where << " worker " << w;
+        EXPECT_EQ(first.worker_stats[w].lp_iterations, second.worker_stats[w].lp_iterations)
+            << where << " worker " << w;
+      }
     }
   }
 }
 
-/// Serial (threads = 0) and parallel results carry consistent telemetry.
-TEST(ParallelBranchAndBound, TelemetryShape) {
-  // Scan for an instance the search actually explores: presolve-infeasible
-  // models return before any worker launches (threads stays 0 by design).
-  std::optional<FuzzInstance> found;
-  MilpResult s;
+/// First fuzz instance whose default (threads = 0) solve with cuts off
+/// proves optimality after a real tree search: root cuts close most fuzz
+/// instances in a node or two, and presolve-infeasible models return
+/// before any worker launches.
+FuzzInstance searchable_instance() {
   for (std::uint64_t seed = 0xF002; seed < 0xF002 + 64; ++seed) {
     FuzzInstance candidate = make_instance(seed);
-    MilpOptions serial;
-    // Root cuts close most fuzz instances in a node or two; this test wants
-    // an actual tree so the worker counters have something to count.
-    serial.cut_options.enabled = false;
-    s = solve_milp(candidate.model, serial);
-    if (s.status == MilpStatus::kOptimal && s.nodes >= 4) {
-      found = std::move(candidate);
-      break;
-    }
+    MilpOptions options;
+    options.cut_options.enabled = false;
+    const MilpResult r = solve_milp(candidate.model, options);
+    if (r.status == MilpStatus::kOptimal && r.nodes >= 4) return candidate;
   }
-  ASSERT_TRUE(found.has_value()) << "no searchable fuzz instance in seed range";
-  const FuzzInstance& instance = *found;
+  ADD_FAILURE() << "no searchable fuzz instance in seed range";
+  return make_instance(0xF002);
+}
 
-  EXPECT_EQ(s.threads, 0);
+/// The default one-worker (threads = 0) and parallel results carry
+/// consistent telemetry.
+TEST(ParallelBranchAndBound, TelemetryShape) {
+  const FuzzInstance instance = searchable_instance();
+  MilpOptions single;
+  single.cut_options.enabled = false;
+  const MilpResult s = solve_milp(instance.model, single);
+  EXPECT_EQ(s.threads, 1);
+  ASSERT_EQ(s.worker_stats.size(), 1u);
+  EXPECT_EQ(s.worker_stats[0].nodes, s.nodes);
+  EXPECT_EQ(s.worker_stats[0].lp_iterations, s.lp_iterations);
   EXPECT_EQ(s.steals, 0);
-  EXPECT_TRUE(s.worker_stats.empty());
+  EXPECT_EQ(s.idle_seconds, 0.0);
   EXPECT_EQ(s.parallel_efficiency, 1.0);
 
   MilpOptions parallel;
@@ -256,6 +268,39 @@ TEST(ParallelBranchAndBound, TelemetryShape) {
   EXPECT_EQ(worker_iters, p.lp_iterations);
   EXPECT_GE(p.parallel_efficiency, 0.0);
   EXPECT_LE(p.parallel_efficiency, 1.0);
+}
+
+/// The epoch schedule (threads = 0, and deterministic) emits all three
+/// progress tracks, and its open-node samples count the open list.
+TEST(ParallelBranchAndBound, EpochScheduleEmitsProgressTracks) {
+  const FuzzInstance instance = searchable_instance();
+  obs::Tracer& tracer = obs::Tracer::instance();
+  for (const int threads : {0, 4}) {
+    MilpOptions options;
+    options.threads = threads;
+    options.deterministic = threads > 0;
+    options.cut_options.enabled = false;
+    tracer.drain();
+    tracer.enable();
+    const MilpResult r = solve_milp(instance.model, options);
+    tracer.disable();
+    ASSERT_EQ(r.status, MilpStatus::kOptimal) << "threads " << threads;
+    bool incumbent = false, bound = false, open = false;
+    double max_open = 0.0;
+    for (const obs::TraceEvent& e : tracer.drain()) {
+      if (e.kind != obs::EventKind::kCounter) continue;
+      if (e.name.rfind("milp incumbent", 0) == 0) incumbent = true;
+      if (e.name.rfind("milp bound", 0) == 0) bound = true;
+      if (e.name.rfind("milp open_nodes", 0) == 0) {
+        open = true;
+        max_open = std::max(max_open, e.value);
+      }
+    }
+    EXPECT_TRUE(incumbent) << "threads " << threads;
+    EXPECT_TRUE(bound) << "threads " << threads;
+    EXPECT_TRUE(open) << "threads " << threads;
+    EXPECT_GT(max_open, 0.0) << "threads " << threads;
+  }
 }
 
 /// Mid-search cancellation: the token is honored promptly in both parallel

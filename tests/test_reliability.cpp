@@ -327,5 +327,41 @@ TEST_F(EngineTest, StoredResultRoundTripsThroughJson) {
             estimate_lifetime(healthy_->ledger_setting1, mc).mttf_runs);
 }
 
+TEST_F(EngineTest, StoredResultWithLegacySolverKeysStillLoads) {
+  // Documents written before the LP engine stopped being echoed carry
+  // "basis"/"pricing" in their solver section; they must still load, with
+  // every other field intact.
+  report::StoredResult stored;
+  stored.assay = "pcr";
+  stored.policy_increments = 1;
+  stored.seed = 7;
+  stored.result = *healthy_;
+  stored.result.milp_nodes = 12;
+  stored.result.milp_lp_iterations = 345;
+  stored.result.milp_lp.primal_pivots = 67;
+  stored.result.milp_lp.dual_pivots = 89;
+  stored.result.milp_cuts.applied = 3;
+  stored.result.milp_arena_bytes = 4096;
+  const std::string json = report::stored_result_to_json(stored);
+
+  std::string legacy = json;
+  const std::size_t solver = legacy.find("\"solver\": {");
+  ASSERT_NE(solver, std::string::npos);
+  const std::size_t close = legacy.find('}', solver);
+  ASSERT_NE(close, std::string::npos);
+  legacy.insert(close, ", \"basis\": \"dense\", \"pricing\": \"dantzig\"");
+
+  const report::StoredResult loaded = report::stored_result_from_json(legacy);
+  EXPECT_EQ(loaded.assay, stored.assay);
+  EXPECT_EQ(loaded.policy_increments, stored.policy_increments);
+  EXPECT_EQ(loaded.seed, stored.seed);
+  EXPECT_EQ(loaded.result.milp_nodes, 12);
+  EXPECT_EQ(loaded.result.milp_lp.dual_pivots, 89);
+  EXPECT_EQ(loaded.result.milp_arena_bytes, 4096);
+  // Re-serializing gives the current document exactly: nothing but the
+  // two legacy keys was dropped.
+  EXPECT_EQ(report::stored_result_to_json(loaded), json);
+}
+
 }  // namespace
 }  // namespace fsyn::rel

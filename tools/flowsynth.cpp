@@ -17,10 +17,9 @@
 //   --seed S        heuristic mapper seed (default 2015)
 //   --ilp           use the exact ILP mapper (small assays only)
 //   --time-limit S  ILP branch & bound wall-clock limit in seconds
-//   --ilp-threads N parallel MILP search workers (0 = serial, the default)
-//   --lp-basis B    LP basis representation: sparse (LU + eta updates, the
-//                   default) or dense (explicit inverse; debugging reference)
-//   --lp-pricing P  LP pricing rule: devex (the default) or dantzig
+//   --ilp-threads N MILP search workers: 0 (the default) runs one worker on
+//                   the calling thread with a reproducible schedule; N >= 1
+//                   runs N work-stealing workers
 //   --lp-cuts C     root cutting planes: on (Gomory + cover cuts tighten the
 //                   root relaxation, the default) or off (pure branch & bound)
 //   --json PATH     write the synthesis result as JSON
@@ -129,10 +128,8 @@ struct CliOptions {
   std::uint64_t seed = 2015;
   bool use_ilp = false;
   std::optional<double> time_limit_seconds;
-  int ilp_threads = 0;  ///< MILP search workers (0 = serial branch-and-bound)
-  ilp::BasisKind lp_basis = ilp::BasisKind::kSparseLu;     ///< --lp-basis
-  ilp::PricingRule lp_pricing = ilp::PricingRule::kDevex;  ///< --lp-pricing
-  bool lp_cuts = true;                                     ///< --lp-cuts
+  int ilp_threads = 0;  ///< MILP search workers (0 = one reproducible worker)
+  bool lp_cuts = true;  ///< --lp-cuts
   std::string json_path;
   std::string svg_path;
   bool snapshots = false;
@@ -180,7 +177,6 @@ struct CliOptions {
       "usage:\n"
       "  flowsynth synth    <assay-file|benchmark> [--policy N | --asap] [--grid N]\n"
       "                     [--seed S] [--ilp] [--time-limit S] [--ilp-threads N]\n"
-      "                     [--lp-basis dense|sparse] [--lp-pricing dantzig|devex]\n"
       "                     [--lp-cuts on|off] [--json PATH]\n"
       "                     [--svg PATH] [--snapshots] [--control] [--trace PATH]\n"
       "  flowsynth schedule <assay-file|benchmark> [--policy N | --asap]\n"
@@ -198,9 +194,7 @@ struct CliOptions {
       "  flowsynth batch    <benchmark[,benchmark...]|all> [--jobs N] [--policies P]\n"
       "                     [--repeat R] [--deadline-ms D] [--race] [--metrics PATH|-]\n"
       "                     [--seed S] [--grid N] [--cache N] [--queue N] [--reject]\n"
-      "                     [--ilp-threads N]\n"
-      "                     [--lp-basis dense|sparse] [--lp-pricing dantzig|devex]\n"
-      "                     [--lp-cuts on|off]\n"
+      "                     [--ilp-threads N] [--lp-cuts on|off]\n"
       "                     [--trace PATH] [--reliability] [--trials N]\n"
       "  flowsynth table1   [--jobs N]\n"
       "  flowsynth list\n";
@@ -242,14 +236,6 @@ CliOptions parse_cli(int argc, char** argv) {
       options.time_limit_seconds = parse_double(next());
     } else if (arg == "--ilp-threads") {
       options.ilp_threads = parse_int(next());
-    } else if (arg == "--lp-basis") {
-      const std::string value = next();
-      if (!ilp::basis_kind_from_string(value, &options.lp_basis))
-        usage("unknown LP basis '" + value + "' (expected dense or sparse)");
-    } else if (arg == "--lp-pricing") {
-      const std::string value = next();
-      if (!ilp::pricing_rule_from_string(value, &options.lp_pricing))
-        usage("unknown LP pricing '" + value + "' (expected dantzig or devex)");
     } else if (arg == "--lp-cuts") {
       const std::string value = next();
       if (value == "on") {
@@ -365,8 +351,6 @@ int run_synth(const CliOptions& cli) {
     options.ilp.time_limit_seconds = *cli.time_limit_seconds;
   }
   options.ilp.threads = cli.ilp_threads;
-  options.ilp.lp.basis = cli.lp_basis;
-  options.ilp.lp.pricing = cli.lp_pricing;
   options.ilp.cuts.enabled = cli.lp_cuts;
   const synth::SynthesisResult result = synth::synthesize(graph, schedule, options);
 
@@ -431,8 +415,6 @@ int run_reliability(const CliOptions& cli) {
     synth_options.ilp.time_limit_seconds = *cli.time_limit_seconds;
   }
   synth_options.ilp.threads = cli.ilp_threads;
-  synth_options.ilp.lp.basis = cli.lp_basis;
-  synth_options.ilp.lp.pricing = cli.lp_pricing;
   synth_options.ilp.cuts.enabled = cli.lp_cuts;
 
   if (!cli.in_path.empty()) {
@@ -524,8 +506,6 @@ int run_fleet(const CliOptions& cli) {
     options.synthesis.ilp.time_limit_seconds = *cli.time_limit_seconds;
   }
   options.synthesis.ilp.threads = cli.ilp_threads;
-  options.synthesis.ilp.lp.basis = cli.lp_basis;
-  options.synthesis.ilp.lp.pricing = cli.lp_pricing;
   options.synthesis.ilp.cuts.enabled = cli.lp_cuts;
 
   const fleet::FleetReport report = fleet::run_fleet(graph, options);
@@ -669,8 +649,6 @@ int run_batch(const CliOptions& cli) {
           spec.options.ilp.time_limit_seconds = *cli.time_limit_seconds;
         }
         spec.options.ilp.threads = cli.ilp_threads;
-        spec.options.ilp.lp.basis = cli.lp_basis;
-        spec.options.ilp.lp.pricing = cli.lp_pricing;
         spec.options.ilp.cuts.enabled = cli.lp_cuts;
         if (cli.deadline_ms.has_value()) {
           spec.deadline = std::chrono::milliseconds(*cli.deadline_ms);
