@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -56,22 +57,30 @@ std::vector<Point> Architecture::placements_for(const DeviceType& type) const {
 Architecture Architecture::sized_for(const assay::SequencingGraph& graph,
                                      const sched::Schedule& schedule, double slack) {
   check_input(slack > 0.0, "slack must be positive");
-  // Demand at time t: every mix/detect operation whose device or in-situ
-  // storage exists at t contributes its (footprint + wall margin) area.
+  // Every mix/detect operation occupies its device or in-situ storage over
+  // [begin, end) with its (footprint + wall margin) area.
+  struct Occupancy {
+    int begin, end, area;
+  };
+  std::vector<Occupancy> occupancies;
+  for (const assay::Operation& op : graph.operations()) {
+    if (op.kind != assay::OpKind::kMix && op.kind != assay::OpKind::kDetect) continue;
+    const int begin = std::min(schedule.earliest_product_arrival(op.id),
+                               schedule.start_of(op.id));
+    const int end = schedule.end_of(op.id) + schedule.transport_delay;
+    if (begin >= end) continue;
+    const int volume = std::max(op.volume, 4);
+    // Squarest shape for this volume, inflated by the 1-cell wall ring.
+    const DeviceType type = device_types_for_volume(volume).front();
+    occupancies.push_back({begin, end, (type.width + 1) * (type.height + 1)});
+  }
+  // Demand at time t: the summed area of the occupancies live at t.
   int max_demand = 0;
   const int horizon = schedule.makespan();
   for (int t = 0; t <= horizon; ++t) {
     int demand = 0;
-    for (const assay::Operation& op : graph.operations()) {
-      if (op.kind != assay::OpKind::kMix && op.kind != assay::OpKind::kDetect) continue;
-      const int begin = std::min(schedule.earliest_product_arrival(op.id),
-                                 schedule.start_of(op.id));
-      const int end = schedule.end_of(op.id) + schedule.transport_delay;
-      if (t < begin || t >= end) continue;
-      const int volume = std::max(op.volume, 4);
-      // Squarest shape for this volume, inflated by the 1-cell wall ring.
-      const DeviceType type = device_types_for_volume(volume).front();
-      demand += (type.width + 1) * (type.height + 1);
+    for (const Occupancy& o : occupancies) {
+      if (t >= o.begin && t < o.end) demand += o.area;
     }
     max_demand = std::max(max_demand, demand);
   }

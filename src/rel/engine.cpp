@@ -80,13 +80,12 @@ std::optional<synth::Placement> repair_placement(const synth::MappingProblem& pr
   for (int i = 0; i < problem.task_count(); ++i) {
     if (problem.placement_allowed(i, placement[static_cast<std::size_t>(i)])) continue;
     bool placed = false;
+    const auto partners = problem.conflict_partners(i);
     for (const arch::DeviceInstance& candidate : problem.candidates_for(i)) {
-      bool feasible = true;
-      for (int j = 0; j < problem.task_count() && feasible; ++j) {
-        if (j == i) continue;
-        feasible = problem.pair_feasible(i, candidate, j, placement[static_cast<std::size_t>(j)]);
-      }
-      if (feasible) {
+      if (std::all_of(partners.begin(), partners.end(), [&](int j) {
+            return problem.pair_feasible(i, candidate, j,
+                                         placement[static_cast<std::size_t>(j)]);
+          })) {
         placement[static_cast<std::size_t>(i)] = candidate;
         placed = true;
         break;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <deque>
 #include <numeric>
+#include <span>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -38,7 +39,19 @@ class Mapper {
   Mapper(const MappingProblem& problem, const HeuristicOptions& options)
       : problem_(problem), options_(options), rng_(options.seed),
         loads_(problem.chip().width(), problem.chip().height(), 0),
-        candidate_cache_(static_cast<std::size_t>(problem.task_count())) {}
+        placed_(static_cast<std::size_t>(problem.task_count()), 0),
+        placed_at_(static_cast<std::size_t>(problem.task_count()), 0),
+        ban_begin_(1, 0),
+        conflict_votes_(static_cast<std::size_t>(problem.task_count()), 0) {
+    // The problem's candidate enumeration, so the heuristic and the ILP
+    // share one candidate space.
+    candidates_.reserve(static_cast<std::size_t>(problem.task_count()));
+    for (int i = 0; i < problem.task_count(); ++i) {
+      candidates_.push_back(problem.candidates_for(i));
+      ban_begin_.push_back(ban_begin_.back() + candidates_.back().size());
+    }
+    banned_.assign(ban_begin_.back(), 0);
+  }
 
   std::optional<MappingOutcome> run() {
     options_.cancel.check("heuristic mapper");
@@ -78,6 +91,7 @@ class Mapper {
       return false;
     }
     placement_ = warm;
+    std::fill(placed_.begin(), placed_.end(), 1);
     loads_.fill(0);
     for (int i = 0; i < problem_.task_count(); ++i) {
       apply_load(placement_[static_cast<std::size_t>(i)],
@@ -86,31 +100,17 @@ class Mapper {
     return true;
   }
 
-  /// Admissible instances for a task (delegates to the problem so the
-  /// heuristic and the ILP share one candidate space), cached per task.
-  const std::vector<DeviceInstance>& candidates(const MappingTask& task) {
-    auto& slot = candidate_cache_[static_cast<std::size_t>(task.index)];
-    if (slot.empty()) slot = problem_.candidates_for(task.index);
-    return slot;
-  }
-
-  /// Returns -1 when feasible, else the index of a placed task that
-  /// conflicts with `device` (used to pick backtracking victims).
-  int first_conflict(int task_index, const DeviceInstance& device,
-                     const std::vector<bool>& placed) const {
-    for (int other = 0; other < problem_.task_count(); ++other) {
-      if (other == task_index || !placed[static_cast<std::size_t>(other)]) continue;
-      if (!problem_.pair_feasible(task_index, device, other,
-                                  placement_[static_cast<std::size_t>(other)])) {
+  /// Returns -1 when `device` is legal for the task against every placed
+  /// task, else the first placed conflict partner it clashes with (used to
+  /// pick backtracking victims).
+  int first_conflict(int task_index, const DeviceInstance& device) const {
+    for (const int other : problem_.conflict_partners(task_index)) {
+      const auto o = static_cast<std::size_t>(other);
+      if (placed_[o] && !problem_.pair_feasible(task_index, device, other, placement_[o])) {
         return other;
       }
     }
     return -1;
-  }
-
-  bool feasible_against_placed(int task_index, const DeviceInstance& device,
-                               const std::vector<bool>& placed) const {
-    return first_conflict(task_index, device, placed) == -1;
   }
 
   void apply_load(const DeviceInstance& device, int pump_actuations, int sign) {
@@ -137,7 +137,7 @@ class Mapper {
   bool greedy_construct() {
     placement_.assign(static_cast<std::size_t>(problem_.task_count()),
                       DeviceInstance{DeviceType{2, 2}, Point{0, 0}});
-    std::vector<bool> placed(static_cast<std::size_t>(problem_.task_count()), false);
+    std::fill(placed_.begin(), placed_.end(), 0);
 
     std::vector<int> order(static_cast<std::size_t>(problem_.task_count()));
     std::iota(order.begin(), order.end(), 0);
@@ -151,10 +151,9 @@ class Mapper {
     };
     std::sort(order.begin(), order.end(), occupancy_before);
 
-    // Instances a (task) may not take again after being ripped up for it —
-    // prevents rip-up/re-place cycles within one construction.
-    std::vector<std::vector<DeviceInstance>> banned(
-        static_cast<std::size_t>(problem_.task_count()));
+    // Candidates a task may not take again after being ripped up from them
+    // — prevents rip-up/re-place cycles within one construction.
+    std::fill(banned_.begin(), banned_.end(), 0);
     int backtrack_budget = 40 * problem_.task_count();
 
     std::deque<int> pending(order.begin(), order.end());
@@ -162,18 +161,23 @@ class Mapper {
       options_.cancel.check("greedy construction");
       const int i = pending.front();
       pending.pop_front();
+      const auto ti = static_cast<std::size_t>(i);
       const MappingTask& task = problem_.task(i);
+      const std::span<const int> partners = problem_.conflict_partners(i);
+      const std::vector<DeviceInstance>& pool = candidates_[ti];
+      const char* const banned = banned_.data() + ban_begin_[ti];
       bool found = false;
       double best_score = 0.0;
-      DeviceInstance best{DeviceType{2, 2}, Point{0, 0}};
+      std::size_t best = 0;
 
-      std::vector<int> conflict_votes(static_cast<std::size_t>(problem_.task_count()), 0);
-      for (const DeviceInstance& candidate : candidates(task)) {
-        const auto& ban_list = banned[static_cast<std::size_t>(i)];
-        if (std::find(ban_list.begin(), ban_list.end(), candidate) != ban_list.end()) continue;
-        const int conflict = first_conflict(i, candidate, placed);
+      // Only conflict partners can block a candidate, so only they vote.
+      for (const int other : partners) conflict_votes_[static_cast<std::size_t>(other)] = 0;
+      for (std::size_t c = 0; c < pool.size(); ++c) {
+        if (banned[c]) continue;
+        const DeviceInstance& candidate = pool[c];
+        const int conflict = first_conflict(i, candidate);
         if (conflict >= 0) {
-          ++conflict_votes[static_cast<std::size_t>(conflict)];
+          ++conflict_votes_[static_cast<std::size_t>(conflict)];
           continue;
         }
         long new_max = 0, added_sq = 0;
@@ -187,13 +191,13 @@ class Mapper {
         // to co-parents: their common child must later fit within the
         // routing distance of both.
         long gap_score = 0;
-        for (int other = 0; other < problem_.task_count(); ++other) {
-          if (!placed[static_cast<std::size_t>(other)]) continue;
-          const int gap = candidate.footprint().chebyshev_gap(
-              placement_[static_cast<std::size_t>(other)].footprint());
+        for (const int other : problem_.proximity_partners(i)) {
+          const auto o = static_cast<std::size_t>(other);
+          if (!placed_[o]) continue;
+          const int gap = candidate.footprint().chebyshev_gap(placement_[o].footprint());
           if (problem_.parent_child(i, other)) {
             gap_score += 2 * gap;
-          } else if (problem_.co_parents(i, other)) {
+          } else {  // co-parents
             gap_score += std::max(0, gap - problem_.routing_distance());
           }
         }
@@ -205,18 +209,18 @@ class Mapper {
                              (noise_ > 0.0 ? rng_.next_double() * noise_ : 0.0);
         if (!found || score < best_score) {
           found = true;
-          best = candidate;
+          best = c;
           best_score = score;
         }
       }
       if (!found) {
         // Backtrack: rip up the placed task blocking the most candidates.
-        int victim = -1;
-        for (int other = 0; other < problem_.task_count(); ++other) {
-          if (conflict_votes[static_cast<std::size_t>(other)] == 0) continue;
-          if (victim == -1 || conflict_votes[static_cast<std::size_t>(other)] >
-                                  conflict_votes[static_cast<std::size_t>(victim)]) {
+        int victim = -1, victim_votes = 0;
+        for (const int other : partners) {
+          const int votes = conflict_votes_[static_cast<std::size_t>(other)];
+          if (votes > victim_votes) {
             victim = other;
+            victim_votes = votes;
           }
         }
         if (victim < 0 || --backtrack_budget < 0) {
@@ -225,19 +229,19 @@ class Mapper {
                    victim < 0 ? "" : " (backtrack budget exhausted)");
           return false;
         }
-        apply_load(placement_[static_cast<std::size_t>(victim)],
-                   problem_.task(victim).pump_actuations, -1);
-        placed[static_cast<std::size_t>(victim)] = false;
-        banned[static_cast<std::size_t>(victim)].push_back(
-            placement_[static_cast<std::size_t>(victim)]);
+        const auto v = static_cast<std::size_t>(victim);
+        apply_load(placement_[v], problem_.task(victim).pump_actuations, -1);
+        placed_[v] = 0;
+        banned_[ban_begin_[v] + placed_at_[v]] = 1;
         // Retry the stuck task first, then the victim.
         pending.push_front(victim);
         pending.push_front(i);
         continue;
       }
-      placement_[static_cast<std::size_t>(i)] = best;
-      placed[static_cast<std::size_t>(i)] = true;
-      apply_load(best, task.pump_actuations, +1);
+      placement_[ti] = pool[best];
+      placed_at_[ti] = best;
+      placed_[ti] = 1;
+      apply_load(placement_[ti], task.pump_actuations, +1);
     }
     return true;
   }
@@ -245,7 +249,6 @@ class Mapper {
   /// Simulated annealing over single-task relocations.
   void anneal() {
     if (options_.sa_iterations <= 0 || problem_.task_count() < 2) return;
-    std::vector<bool> all_placed(static_cast<std::size_t>(problem_.task_count()), true);
 
     Cost cost = current_cost();
     Placement best_placement = placement_;
@@ -262,15 +265,16 @@ class Mapper {
       const MappingTask& task = problem_.task(i);
 
       // Propose a random admissible instance for task i.
-      const auto& pool = candidates(task);
+      const std::vector<DeviceInstance>& pool = candidates_[static_cast<std::size_t>(i)];
       if (pool.empty()) continue;
       const DeviceInstance proposal = pool[rng_.next_below(pool.size())];
       ++moves_tried_;
       if (proposal == placement_[static_cast<std::size_t>(i)]) continue;
 
       const DeviceInstance old = placement_[static_cast<std::size_t>(i)];
-      // pair checks skip task i itself, so no tentative assignment needed.
-      if (!feasible_against_placed(i, proposal, all_placed)) continue;
+      // Every task is placed and task i is not its own conflict partner,
+      // so no tentative assignment is needed.
+      if (first_conflict(i, proposal) >= 0) continue;
 
       apply_load(old, task.pump_actuations, -1);
       apply_load(proposal, task.pump_actuations, +1);
@@ -303,7 +307,16 @@ class Mapper {
   Rng rng_;
   Grid<int> loads_;
   Placement placement_;
-  std::vector<std::vector<DeviceInstance>> candidate_cache_;
+  std::vector<std::vector<DeviceInstance>> candidates_;  ///< per task
+  // Construction state, reused across greedy restarts: whether each task is
+  // placed and at which position of its candidates, the rip-up bans (task
+  // i's flags start at ban_begin_[i], one per candidate position), and the
+  // per-task victim votes.
+  std::vector<char> placed_;
+  std::vector<std::size_t> placed_at_;
+  std::vector<std::size_t> ban_begin_;
+  std::vector<char> banned_;
+  std::vector<int> conflict_votes_;
   double noise_ = 0.0;
   long moves_tried_ = 0;
   long moves_accepted_ = 0;

@@ -104,7 +104,7 @@ std::optional<IlpMappingOutcome> map_ilp(const MappingProblem& problem,
     });
   }
 
-  // ---- pairwise constraints ----
+  // ---- pairwise constraints (only conflict partners need any) ----
   struct PairRecord {
     int a, b;
     VarId c1, c2, c3, c4;
@@ -112,7 +112,8 @@ std::optional<IlpMappingOutcome> map_ilp(const MappingProblem& problem,
   };
   std::vector<PairRecord> pair_records;
   for (int a = 0; a < problem.task_count(); ++a) {
-    for (int b = a + 1; b < problem.task_count(); ++b) {
+    for (const int b : problem.conflict_partners(a)) {
+      if (b < a) continue;
       const TaskVars& va = vars[static_cast<std::size_t>(a)];
       const TaskVars& vb = vars[static_cast<std::size_t>(b)];
       const bool related = problem.parent_child(a, b);

@@ -63,22 +63,32 @@ MappingProblem MappingProblem::build(const assay::SequencingGraph& graph,
   }
   problem.routing_distance_ = d;
 
-  // Precompute the pairwise relations pair_feasible consults per candidate.
+  // Precompute the pairwise relations pair_feasible consults per candidate,
+  // and from them the per-task partner lists.
   const std::size_t n = static_cast<std::size_t>(problem.task_count());
   problem.parent_child_cache_.assign(n * n, 0);
   problem.co_parents_cache_.assign(n * n, 0);
   problem.time_overlap_cache_.assign(n * n, 0);
   problem.forbidden_cache_.assign(n * n, 0);
+  problem.conflict_begin_.assign(1, 0);
+  problem.proximity_begin_.assign(1, 0);
   for (int a = 0; a < problem.task_count(); ++a) {
     for (int b = 0; b < problem.task_count(); ++b) {
-      problem.parent_child_cache_[problem.pair_index(a, b)] =
-          problem.compute_parent_child(a, b);
-      problem.co_parents_cache_[problem.pair_index(a, b)] = problem.compute_co_parents(a, b);
+      const std::size_t ab = problem.pair_index(a, b);
+      const bool parent_child = problem.compute_parent_child(a, b);
+      const bool co_parents = problem.compute_co_parents(a, b);
       const MappingTask& ta = problem.task(a);
       const MappingTask& tb = problem.task(b);
-      problem.time_overlap_cache_[problem.pair_index(a, b)] =
-          ta.occupancy_begin() < tb.release && tb.occupancy_begin() < ta.release;
+      const bool overlap = ta.occupancy_begin() < tb.release && tb.occupancy_begin() < ta.release;
+      problem.parent_child_cache_[ab] = parent_child;
+      problem.co_parents_cache_[ab] = co_parents;
+      problem.time_overlap_cache_[ab] = overlap;
+      if (b == a) continue;
+      if (parent_child || overlap) problem.conflict_tasks_.push_back(b);
+      if (parent_child || co_parents) problem.proximity_tasks_.push_back(b);
     }
+    problem.conflict_begin_.push_back(static_cast<int>(problem.conflict_tasks_.size()));
+    problem.proximity_begin_.push_back(static_cast<int>(problem.proximity_tasks_.size()));
   }
   return problem;
 }
@@ -238,7 +248,8 @@ void MappingProblem::validate_placement(const Placement& placement) const {
             "volume, or covering a chip port)");
   }
   for (int a = 0; a < task_count(); ++a) {
-    for (int b = a + 1; b < task_count(); ++b) {
+    for (const int b : conflict_partners(a)) {
+      if (b < a) continue;
       require(pair_feasible(a, placement[static_cast<std::size_t>(a)], b,
                             placement[static_cast<std::size_t>(b)]),
               "placement violates pair constraints: '" + task(a).name + "' vs '" +

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -88,6 +89,21 @@ class MappingProblem {
 
   /// True when the occupancy windows of the two tasks intersect.
   bool time_overlap(int a, int b) const;
+
+  /// The tasks b != a, ascending, that are parent/child of a or overlap it
+  /// in time: the only tasks for which pair_feasible(a, ., b, .) can be
+  /// false, whatever the ablation switches and forbidden pairs.  Every
+  /// other pair is legal at any two positions.  Symmetric.
+  std::span<const int> conflict_partners(int a) const {
+    return csr_row(conflict_begin_, conflict_tasks_, a);
+  }
+
+  /// The tasks b != a, ascending, that are parent/child or co-parents of
+  /// a: the tasks a's device should stay near (routing convenience, and
+  /// room for a common child within distance d of both).  Symmetric.
+  std::span<const int> proximity_partners(int a) const {
+    return csr_row(proximity_begin_, proximity_tasks_, a);
+  }
 
   /// The routing-convenience distance d: minimum dimension over all
   /// candidate device types of all tasks (paper Section 3.4).
@@ -175,6 +191,18 @@ class MappingProblem {
   std::size_t pair_index(int a, int b) const {
     return static_cast<std::size_t>(a) * static_cast<std::size_t>(task_count()) +
            static_cast<std::size_t>(b);
+  }
+  // The partner lists above in CSR form: row a is
+  // tasks[begin[a] .. begin[a + 1]).
+  std::vector<int> conflict_begin_;
+  std::vector<int> conflict_tasks_;
+  std::vector<int> proximity_begin_;
+  std::vector<int> proximity_tasks_;
+  static std::span<const int> csr_row(const std::vector<int>& begin,
+                                      const std::vector<int>& tasks, int row) {
+    const auto r = static_cast<std::size_t>(row);
+    return std::span<const int>(tasks).subspan(static_cast<std::size_t>(begin[r]),
+                                               static_cast<std::size_t>(begin[r + 1] - begin[r]));
   }
   bool compute_parent_child(int a, int b) const;
   bool compute_co_parents(int a, int b) const;

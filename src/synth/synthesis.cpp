@@ -16,8 +16,8 @@ namespace {
 /// Returns true when all overlaps fit.
 bool forbid_first_overfull_pair(MappingProblem& problem, const Placement& placement) {
   for (int a = 0; a < problem.task_count(); ++a) {
-    for (int b = a + 1; b < problem.task_count(); ++b) {
-      if (!problem.parent_child(a, b) || !problem.time_overlap(a, b)) continue;
+    for (const int b : problem.conflict_partners(a)) {
+      if (b < a || !problem.parent_child(a, b) || !problem.time_overlap(a, b)) continue;
       if (problem.storage_overlap_forbidden(a, b)) continue;
       const arch::DeviceInstance& da = placement[static_cast<std::size_t>(a)];
       const arch::DeviceInstance& db = placement[static_cast<std::size_t>(b)];
@@ -102,7 +102,8 @@ std::optional<MappingAttempt> run_mapper(MappingProblem& problem,
 
 namespace {
 
-/// One full mapping+routing+accounting attempt on a fixed chip size.
+/// One full mapping+routing+accounting attempt on a fixed chip size;
+/// `growth` is the signed distance from the sweep's first size.
 std::optional<SynthesisResult> attempt_on_size(const assay::SequencingGraph& graph,
                                                const sched::Schedule& schedule,
                                                const SynthesisOptions& options, int side,
@@ -223,6 +224,11 @@ SynthesisResult synthesize(const assay::SequencingGraph& graph,
     if (!candidate.has_value()) return;
     if (!best.has_value() || score(*candidate) < score(*best)) best = std::move(candidate);
   };
+  // An attempt is a deterministic function of its size, so each size is
+  // tried at most once.
+  const auto attempt = [&](int side) {
+    return attempt_on_size(graph, schedule, options, side, side - first_side);
+  };
 
   // Scan upward from the estimate until the first feasible size.
   std::optional<SynthesisResult> best;
@@ -230,7 +236,7 @@ SynthesisResult synthesize(const assay::SequencingGraph& graph,
   for (int growth = 0; growth <= options.max_chip_growth; ++growth) {
     options.cancel.check("chip-size search");
     const int side = first_side + growth;
-    auto candidate = attempt_on_size(graph, schedule, options, side, growth);
+    auto candidate = attempt(side);
     if (candidate.has_value()) {
       feasible_side = side;
       offer(best, std::move(candidate));
@@ -246,18 +252,21 @@ SynthesisResult synthesize(const assay::SequencingGraph& graph,
   if (sweep > 0) {
     // Probe smaller matrices down to the first infeasible size: the
     // estimate is deliberately conservative and the valve-count knee often
-    // sits below it.
-    for (int side = feasible_side - 1; side >= 8; --side) {
-      options.cancel.check("chip-size sweep");
-      auto candidate = attempt_on_size(graph, schedule, options, side, feasible_side - side);
-      if (!candidate.has_value()) break;
-      offer(best, std::move(candidate));
+    // sits below it.  Only an estimate that succeeded leaves anything to
+    // probe: otherwise the size below the first feasible one already
+    // failed in the scan above.
+    if (feasible_side == first_side) {
+      for (int side = first_side - 1; side >= 8; --side) {
+        options.cancel.check("chip-size sweep");
+        auto candidate = attempt(side);
+        if (!candidate.has_value()) break;
+        offer(best, std::move(candidate));
+      }
     }
     // And a few larger ones (more room can still lower the max actuation).
     for (int extra = 1; extra <= sweep; ++extra) {
       options.cancel.check("chip-size sweep");
-      offer(best,
-            attempt_on_size(graph, schedule, options, feasible_side + extra, extra));
+      offer(best, attempt(feasible_side + extra));
     }
   }
   best->runtime_seconds =

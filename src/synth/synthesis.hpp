@@ -39,12 +39,13 @@ struct SynthesisOptions {
   /// The chip is enlarged and synthesis retried this many times when
   /// mapping or routing fails for lack of space.
   int max_chip_growth = 10;
-  /// After the first feasible size, this many larger sizes are also tried,
-  /// and smaller sizes are probed until the first infeasible one.  Among
-  /// all successes the result minimizing `vs1_max + valve_weight * #v` is
-  /// kept: bigger matrices spread actuations (lower vs) but implement more
-  /// valves; the weight picks the knee of that trade-off.  0 disables the
-  /// sweep and keeps the first success.
+  /// After the first feasible size, this many larger sizes are also tried;
+  /// when that first feasible size is the estimate itself, smaller sizes
+  /// are probed until the first infeasible one.  No size is tried twice.
+  /// Among all successes the result minimizing `vs1_max + valve_weight *
+  /// #v` is kept: bigger matrices spread actuations (lower vs) but
+  /// implement more valves; the weight picks the knee of that trade-off.
+  /// 0 disables the sweep and keeps the first success.
   int chip_sweep = 3;
   double valve_weight = 0.5;
   /// Bound on Algorithm-1 L4-L9 iterations (storage-overlap forbidding).
@@ -89,6 +90,9 @@ struct SynthesisResult {
 
   std::int64_t mapper_effort = 0;  ///< SA moves or B&B nodes
   int refinement_iterations = 0;   ///< Algorithm-1 L4-L9 re-runs
+  /// Side of the chosen chip minus the sweep's first size (the
+  /// `sized_for` estimate, or the explicit `grid_size`); negative when a
+  /// probe below the estimate won.
   int chip_growths = 0;
   double runtime_seconds = 0.0;
 

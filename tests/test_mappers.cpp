@@ -6,6 +6,8 @@
 // heuristic's placement).
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "assay/benchmarks.hpp"
 #include "sched/list_scheduler.hpp"
 #include "synth/heuristic_mapper.hpp"
@@ -136,6 +138,67 @@ TEST(HeuristicMapper, RespectsAblationFlags) {
       EXPECT_FALSE(outcome->placement[static_cast<std::size_t>(a)].footprint().overlaps(
           outcome->placement[static_cast<std::size_t>(b)].footprint()));
     }
+  }
+}
+
+/// A placement as {width, height, x, y} per task, for exact comparison.
+std::vector<std::array<int, 4>> placement_cells(const Placement& placement) {
+  std::vector<std::array<int, 4>> out;
+  for (const DeviceInstance& d : placement) {
+    out.push_back({d.type.width, d.type.height, d.origin.x, d.origin.y});
+  }
+  return out;
+}
+
+TEST(HeuristicMapper, DecisionsArePinnedAcrossVersions) {
+  // Default-options outcomes around the tightest chips of two Table-1
+  // rows.  A change meant only to make the mapper faster must reproduce
+  // every construction and annealing decision, so these stay exact:
+  // DeterministicForFixedSeed compares two runs of one build and cannot
+  // see a changed decision.  Every one of the 13 constructions fails on
+  // the tight chip; the larger one succeeds.
+  struct Pin {
+    const char* assay;
+    int increments;
+    int infeasible_side;
+    int side;
+    int max_pump_load;
+    int max_pump_load_setting2;
+    long moves_tried;
+    long moves_accepted;
+    std::vector<std::array<int, 4>> placement;
+  };
+  const Pin pins[] = {
+      {"interpolating_dilution", 2, 12, 14, 120, 50, 20000, 604,
+       {{2, 3, 0, 0},  {2, 3, 2, 0},  {2, 3, 4, 0},  {2, 3, 10, 1}, {2, 3, 12, 3},
+        {2, 3, 9, 4},  {2, 3, 12, 8}, {3, 2, 6, 10}, {4, 2, 5, 12}, {3, 3, 1, 11},
+        {3, 3, 0, 10}, {2, 4, 0, 8},  {4, 2, 8, 7},  {2, 4, 0, 4},  {4, 2, 5, 3},
+        {3, 3, 0, 6},  {5, 2, 0, 0},  {5, 2, 6, 0},  {4, 3, 8, 4},  {3, 4, 11, 9},
+        {5, 2, 5, 11}, {2, 5, 2, 7},  {5, 2, 4, 8},  {5, 2, 2, 4},  {4, 3, 6, 0},
+        {5, 2, 8, 9},  {5, 2, 2, 12}, {2, 5, 5, 5},  {2, 3, 7, 5},  {2, 2, 4, 10},
+        {2, 2, 6, 6},  {4, 2, 0, 1},  {2, 2, 11, 0}, {2, 2, 11, 6}, {2, 2, 9, 12},
+        {2, 2, 0, 0},  {2, 2, 12, 2}, {2, 2, 10, 5}, {2, 2, 7, 10}}},
+      {"mixing_tree", 0, 9, 10, 120, 50, 20000, 385,
+       {{2, 3, 3, 3}, {4, 2, 6, 3}, {2, 3, 3, 0}, {4, 2, 0, 3}, {3, 2, 0, 0}, {3, 3, 4, 7},
+        {2, 3, 8, 6}, {4, 2, 5, 8}, {3, 3, 1, 6}, {3, 4, 0, 5}, {5, 2, 4, 0}, {4, 3, 0, 0},
+        {4, 3, 5, 4}, {4, 3, 0, 7}, {5, 2, 5, 1}, {4, 3, 5, 5}, {2, 2, 1, 4}, {2, 2, 4, 3}}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.assay);
+    const auto g = assay::make_benchmark(pin.assay);
+    const auto schedule = sched::schedule_with_policy(g, sched::make_policy(g, pin.increments));
+    const auto tight = MappingProblem::build(
+        g, schedule, arch::Architecture(pin.infeasible_side, pin.infeasible_side));
+    EXPECT_FALSE(map_heuristic(tight).has_value());
+
+    const auto problem = MappingProblem::build(g, schedule, arch::Architecture(pin.side, pin.side));
+    const auto outcome = map_heuristic(problem);
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->max_pump_load, pin.max_pump_load);
+    EXPECT_EQ(outcome->max_pump_load_setting2, pin.max_pump_load_setting2);
+    EXPECT_EQ(outcome->moves_tried, pin.moves_tried);
+    EXPECT_EQ(outcome->moves_accepted, pin.moves_accepted);
+    EXPECT_EQ(placement_cells(outcome->placement), pin.placement);
   }
 }
 

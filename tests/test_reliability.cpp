@@ -302,12 +302,14 @@ TEST_F(EngineTest, StoredResultRoundTripsThroughJson) {
   stored.asap = false;
   stored.seed = 2015;
   stored.result = *healthy_;
+  stored.result.chip_growths = -3;  // the sweep's winner sat below its estimate
 
   const std::string json = report::stored_result_to_json(stored);
   const report::StoredResult loaded = report::stored_result_from_json(json);
   EXPECT_EQ(loaded.assay, stored.assay);
   EXPECT_EQ(loaded.seed, stored.seed);
   EXPECT_EQ(loaded.result.chip_width, healthy_->chip_width);
+  EXPECT_EQ(loaded.result.chip_growths, -3);
   EXPECT_EQ(loaded.result.vs1_max, healthy_->vs1_max);
   EXPECT_EQ(loaded.result.valve_count, healthy_->valve_count);
   ASSERT_EQ(loaded.result.placement.size(), healthy_->placement.size());

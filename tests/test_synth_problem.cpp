@@ -1,10 +1,16 @@
 // Tests for the mapping-problem semantics: task timelines, pair
 // feasibility (non-overlap, storage overlap, routing convenience), the
-// free-space rule, load accounting in both settings, and candidate
-// enumeration.
+// free-space rule, load accounting in both settings, candidate
+// enumeration, and the per-task partner lists.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <span>
+#include <tuple>
+
 #include "assay/benchmarks.hpp"
+#include "assay/random_assay.hpp"
 #include "sched/list_scheduler.hpp"
 #include "synth/mapping_problem.hpp"
 #include "util/error.hpp"
@@ -216,8 +222,15 @@ TEST(MappingProblem, ValidatePlacementRejectsViolations) {
   const auto schedule = sched::schedule_asap(fx.graph);
   auto problem = MappingProblem::build(fx.graph, schedule, arch::Architecture(12, 12));
   Placement bad(3, DeviceInstance{DeviceType{2, 4}, Point{0, 0}});
-  // a and b concurrent at the same location.
-  EXPECT_THROW(problem.validate_placement(bad), LogicError);
+  // a and b concurrent at the same location: the first violating pair is
+  // named.
+  try {
+    problem.validate_placement(bad);
+    ADD_FAILURE() << "overlapping concurrent devices accepted";
+  } catch (const LogicError& e) {
+    EXPECT_NE(std::string(e.what()).find("pair constraints: 'a' vs 'b'"), std::string::npos)
+        << e.what();
+  }
   // Wrong size vector.
   EXPECT_THROW(problem.validate_placement(Placement{}), LogicError);
   // Off-chip placement.
@@ -239,6 +252,63 @@ TEST(MappingProblem, CandidatesExcludePortCells) {
             << "candidate covers port " << port.name;
       }
     }
+  }
+}
+
+bool contains(std::span<const int> sorted, int value) {
+  return std::binary_search(sorted.begin(), sorted.end(), value);
+}
+
+/// Checks both partner lists against their definitions (ascending, no
+/// self, symmetric) and that every task pair outside the conflict lists is
+/// legal at every two candidate positions.
+void expect_partner_lists_sound(const MappingProblem& problem) {
+  const int n = problem.task_count();
+  for (int a = 0; a < n; ++a) {
+    const auto conflict = problem.conflict_partners(a);
+    const auto proximity = problem.proximity_partners(a);
+    EXPECT_TRUE(std::adjacent_find(conflict.begin(), conflict.end(), std::greater_equal<>()) ==
+                conflict.end());
+    EXPECT_TRUE(std::adjacent_find(proximity.begin(), proximity.end(),
+                                   std::greater_equal<>()) == proximity.end());
+    for (int b = 0; b < n; ++b) {
+      const bool parent_child = problem.parent_child(a, b);
+      EXPECT_EQ(contains(conflict, b), b != a && (parent_child || problem.time_overlap(a, b)));
+      EXPECT_EQ(contains(proximity, b), b != a && (parent_child || problem.co_parents(a, b)));
+      EXPECT_EQ(contains(conflict, b), contains(problem.conflict_partners(b), a));
+      EXPECT_EQ(contains(proximity, b), contains(problem.proximity_partners(b), a));
+      if (b == a || contains(conflict, b)) continue;
+      for (const DeviceInstance& da : problem.candidates_for(a)) {
+        for (const DeviceInstance& db : problem.candidates_for(b)) {
+          if (!problem.pair_feasible(a, da, b, db)) {
+            ADD_FAILURE() << "tasks " << a << " and " << b
+                          << " are not conflict partners but can clash";
+            return;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MappingProblem, PartnerListsAreSoundAscendingAndSymmetric) {
+  const auto pcr = assay::make_pcr();
+  const auto pcr_schedule = sched::schedule_asap(pcr);
+  Rng rng(11);
+  assay::RandomAssayOptions random_options;
+  random_options.mixing_ops = 9;
+  const auto random = assay::make_random_assay(rng, random_options);
+  const auto random_schedule = sched::schedule_with_policy(random, sched::make_policy(random, 1));
+
+  for (const auto& [graph, schedule, side] :
+       {std::tuple{&pcr, &pcr_schedule, 8}, std::tuple{&random, &random_schedule, 10}}) {
+    SCOPED_TRACE(graph->name());
+    auto problem = MappingProblem::build(*graph, *schedule, arch::Architecture(side, side));
+    expect_partner_lists_sound(problem);
+    // The lists do not depend on the switches pair_feasible honours.
+    problem.set_allow_storage_overlap(false);
+    problem.set_routing_convenient(false);
+    expect_partner_lists_sound(problem);
   }
 }
 

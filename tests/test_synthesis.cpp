@@ -3,8 +3,12 @@
 // the chip-size sweep.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string_view>
+
 #include "assay/benchmarks.hpp"
 #include "assay/parser.hpp"
+#include "obs/trace.hpp"
 #include "sched/list_scheduler.hpp"
 #include "synth/synthesis.hpp"
 
@@ -153,6 +157,67 @@ mix    b volume 8 duration 6 from a i3
   const SynthesisResult r = synthesize(g, schedule, options);
   EXPECT_EQ(r.vs1_pump, 40);
   EXPECT_TRUE(r.routing.success);
+}
+
+/// A default-options synthesis of one benchmark row, traced: the result,
+/// the sweep's first size (the sized_for estimate) and the side of every
+/// chip-size attempt in the order they ran.  Cached per row, since these
+/// are the sweep's slowest cases.
+struct TracedSweep {
+  SynthesisResult result;
+  int estimate = 0;
+  std::vector<int> sides;
+};
+
+const TracedSweep& traced_sweep(const std::string& name, int increments) {
+  static std::map<std::pair<std::string, int>, TracedSweep> cache;
+  const auto key = std::make_pair(name, increments);
+  if (const auto it = cache.find(key); it != cache.end()) return it->second;
+
+  const auto g = assay::make_benchmark(name);
+  const auto schedule = sched::schedule_with_policy(g, sched::make_policy(g, increments));
+  const SynthesisOptions options;
+  TracedSweep sweep;
+  sweep.estimate = arch::Architecture::sized_for(g, schedule, options.chip_slack).width();
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.drain();
+  tracer.enable();
+  sweep.result = synthesize(g, schedule, options);
+  tracer.disable();
+  for (const obs::TraceEvent& e : tracer.drain()) {
+    if (std::string_view(e.category) != "synth" || e.name != "attempt") continue;
+    const std::size_t side = e.args.find("\"side\":");
+    if (side != std::string::npos) sweep.sides.push_back(std::stoi(e.args.substr(side + 7)));
+  }
+  return cache.emplace(key, std::move(sweep)).first->second;
+}
+
+TEST(Synthesis, EachChipSizeIsAttemptedOnce) {
+  // interpolating_dilution p2: the estimate 12 and 13 fail, 14 is the first
+  // feasible size, then 15-17.  Every size that failed on the way up stays
+  // failed, so nothing is probed below 14.
+  const TracedSweep& interpolating = traced_sweep("interpolating_dilution", 2);
+  EXPECT_EQ(interpolating.estimate, 12);
+  EXPECT_EQ(interpolating.sides, (std::vector<int>{12, 13, 14, 15, 16, 17}));
+
+  // exponential_dilution p3: the estimate 20 succeeds, so the sweep probes
+  // downward to 9, its first failing size (routing fails there), then tries
+  // 21-23.
+  const TracedSweep& exponential = traced_sweep("exponential_dilution", 5);
+  EXPECT_EQ(exponential.estimate, 20);
+  EXPECT_EQ(exponential.sides,
+            (std::vector<int>{20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 21, 22, 23}));
+}
+
+TEST(Synthesis, ChipGrowthsIsTheSignedDistanceFromTheEstimate) {
+  // One winner above the estimate (15 over 12) and one below it (13 under
+  // 20).
+  for (const auto& [name, increments] :
+       {std::pair{"interpolating_dilution", 2}, std::pair{"exponential_dilution", 3}}) {
+    const TracedSweep& sweep = traced_sweep(name, increments);
+    EXPECT_EQ(sweep.result.chip_width, sweep.estimate + sweep.result.chip_growths) << name;
+    EXPECT_NE(sweep.result.chip_growths, 0) << name;
+  }
 }
 
 TEST(Synthesis, RuntimeIsRecorded) {
