@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include "assay/benchmarks.hpp"
+#include "assay/random_assay.hpp"
 #include "ilp/branch_and_bound.hpp"
 #include "util/rng.hpp"
 #include "route/router.hpp"
@@ -68,6 +69,35 @@ void BM_Routing(benchmark::State& state) {
   state.SetLabel(g.name());
 }
 BENCHMARK(BM_Routing)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+
+void BM_RoutingScale(benchmark::State& state) {
+  // The end-to-end `scale` workload's recipe, where routing is a large
+  // share of synthesis: a random assay of the given size, policy 1, on the
+  // estimated grid plus two.
+  Rng rng(2015);
+  assay::RandomAssayOptions assay_options;
+  assay_options.mixing_ops = static_cast<int>(state.range(0));
+  assay_options.reuse_probability = 0.55;
+  assay_options.detect_probability = 0.15;
+  const auto g = assay::make_random_assay(rng, assay_options);
+  const auto schedule = sched::schedule_with_policy(g, sched::make_policy(g, 1));
+  const int side =
+      arch::Architecture::sized_for(g, schedule, synth::SynthesisOptions().chip_slack).width() + 2;
+  const auto problem = synth::MappingProblem::build(g, schedule, arch::Architecture(side, side));
+  synth::HeuristicOptions options;
+  options.sa_iterations = 4000;
+  const auto mapping = synth::map_heuristic(problem, options);
+  if (!mapping.has_value()) {
+    state.SkipWithError("mapping failed");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(route::route_all(problem, mapping->placement));
+  }
+  state.SetLabel(std::to_string(assay_options.mixing_ops) + " mixes on " + std::to_string(side) +
+                 "x" + std::to_string(side));
+}
+BENCHMARK(BM_RoutingScale)->Arg(60)->Arg(116)->Unit(benchmark::kMillisecond);
 
 void BM_FullSynthesis(benchmark::State& state) {
   const auto& g = benchmark_graph(static_cast<int>(state.range(0)));

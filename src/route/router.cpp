@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <queue>
-#include <set>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -29,20 +28,19 @@ const char* to_string(TransportKind kind) {
 
 namespace {
 
-/// How a grid cell behaves for a transport at a given time.
-enum class CellState {
-  kOpen,       ///< free area or removed walls: routable
-  kBlocked,    ///< live device footprint or storage interior
-  kStorage     ///< storage-phase ring cell: routable if free space allows
-};
-
 class Router {
  public:
   Router(const MappingProblem& problem, const Placement& placement,
          const RouterOptions& options)
       : problem_(problem), placement_(placement), options_(options),
         pump_loads_(problem.pump_loads(placement)),
-        control_loads_(problem.chip().width(), problem.chip().height(), 0) {}
+        control_loads_(problem.chip().width(), problem.chip().height(), 0),
+        used_(problem.chip().width(), problem.chip().height(), 0),
+        blocked_(problem.chip().width(), problem.chip().height(), 0),
+        congested_(problem.chip().width(), problem.chip().height(), 0),
+        target_(problem.chip().width(), problem.chip().height(), 0),
+        dist_(problem.chip().width(), problem.chip().height(), 0.0),
+        prev_(problem.chip().width(), problem.chip().height(), Point{-1, -1}) {}
 
   RoutingResult run() {
     RoutingResult result;
@@ -52,18 +50,19 @@ class Router {
                      [](const RoutedPath& a, const RoutedPath& b) { return a.time < b.time; });
 
     for (RoutedPath& path : plan) {
-      // Storages this particular path is forbidden to pass through
-      // (rip-up & re-route, Algorithm 1 L14-L17).
-      std::set<int> forbidden_storages;
+      mark_obstacles(path);
+      mark_congestion(path);
       bool routed = false;
       for (int attempt = 0; attempt <= options_.max_ripups; ++attempt) {
-        if (!dijkstra(path, forbidden_storages)) break;
+        if (!dijkstra(path)) break;
         const int overfull = find_overfull_storage(path);
         if (overfull < 0) {
           routed = true;
           break;
         }
-        forbidden_storages.insert(overfull);
+        // Rip-up & re-route (Algorithm 1 L14-L17): this path may no longer
+        // pass the overfull storage at all.
+        block(placement_[static_cast<std::size_t>(overfull)].footprint());
         ++result.rip_ups;
       }
       if (!routed) {
@@ -73,7 +72,7 @@ class Router {
       }
       routed_.push_back(path);  // visible to later congestion checks
       for (const Point& cell : path.cells) {
-        used_cells_.insert(cell);
+        used_.at(cell) = 1;
         control_loads_.at(cell) += 2;  // open + close per transport
       }
       result.total_cells += path.length();
@@ -133,29 +132,41 @@ class Router {
     return plan;
   }
 
-  CellState cell_state(const Point& cell, int time, int skip_a, int skip_b,
-                       const std::set<int>& forbidden_storages) const {
-    if (problem_.is_dead(cell)) return CellState::kBlocked;
-    // A cell may lie inside several footprints (storages overlap their
-    // parent devices), so every covering task must agree before the cell is
-    // passable: one live device is enough to block.
-    CellState state = CellState::kOpen;
+  void block(const Rect& area) {
+    for (int y = area.bottom(); y < area.top(); ++y) {
+      for (int x = area.left(); x < area.right(); ++x) blocked_.at(x, y) = 1;
+    }
+  }
+
+  /// Fills the obstacle map for one transport.  Dead valves and the
+  /// footprints of foreign devices live at its time are walls.  A cell may
+  /// lie inside several footprints (storages overlap their parent devices);
+  /// one live device is enough to block it.  A foreign storage-phase device
+  /// blocks only its enclosed interior: its ring stays passable while free
+  /// space allows (find_overfull_storage).
+  void mark_obstacles(const RoutedPath& path) {
+    blocked_.fill(0);
+    for (const Point& cell : problem_.dead_valves()) blocked_.at(cell) = 1;
     for (int j = 0; j < problem_.task_count(); ++j) {
-      if (j == skip_a || j == skip_b) continue;
+      if (j == path.task || j == path.source_task) continue;
       const synth::MappingTask& other = problem_.task(j);
       const DeviceInstance& device = placement_[static_cast<std::size_t>(j)];
-      if (!device.footprint().contains(cell)) continue;
-      if (time >= other.start && time < other.release) return CellState::kBlocked;
-      if (time >= other.storage_from && time < other.start) {
-        // Storage phase: ring cells are passable with free space, the
-        // enclosed interior is not reachable.
-        if (forbidden_storages.contains(j)) return CellState::kBlocked;
-        const auto ring = device.pump_cells();
-        if (std::find(ring.begin(), ring.end(), cell) == ring.end()) return CellState::kBlocked;
-        state = CellState::kStorage;
+      if (path.time >= other.start && path.time < other.release) {
+        block(device.footprint());
+      } else if (path.time >= other.storage_from && path.time < other.start) {
+        for (const Point& cell : device.interior_cells()) blocked_.at(cell) = 1;
       }
     }
-    return state;
+  }
+
+  /// Fills the congestion map: the cells of routed paths whose transport
+  /// window overlaps this one's.
+  void mark_congestion(const RoutedPath& path) {
+    congested_.fill(0);
+    for (const RoutedPath& other : routed_) {
+      if (!times_overlap(path, other)) continue;
+      for (const Point& cell : other.cells) congested_.at(cell) = 1;
+    }
   }
 
   bool times_overlap(const RoutedPath& a, const RoutedPath& b) const {
@@ -163,11 +174,11 @@ class Router {
     return a.time < b.time + delay && b.time < a.time + delay;
   }
 
-  /// Dijkstra from the path's source terminals to its target terminals.
-  bool dijkstra(RoutedPath& path, const std::set<int>& forbidden_storages) const {
+  /// Dijkstra from the path's source terminals to its target terminals over
+  /// the current obstacle and congestion maps.
+  bool dijkstra(RoutedPath& path) {
     const auto& chip = problem_.chip();
     std::vector<Point> sources, targets;
-    int skip_a = -1, skip_b = -1;
     switch (path.kind) {
       case TransportKind::kFill: {
         // Honour a port assignment when one names this fill's fluid.
@@ -184,43 +195,41 @@ class Router {
           ++input_index;
         }
         targets = terminals(path.task);
-        skip_a = path.task;
         break;
       }
       case TransportKind::kTransfer:
         sources = terminals(path.source_task);
         targets = terminals(path.task);
-        skip_a = path.source_task;
-        skip_b = path.task;
         break;
       case TransportKind::kDrain:
         sources = terminals(path.task);
         targets.push_back(chip.output_port().cell);
-        skip_a = path.task;
         break;
     }
     require(!sources.empty() && !targets.empty(), "transport without terminals");
 
     // A terminal buried under a foreign live device is unusable — e.g. the
     // part of a storage ring still covered by the other parent's mixer.
-    std::set<Point> target_set;
+    target_.fill(0);
+    bool any_target = false;
     for (const Point& t : targets) {
-      if (cell_state(t, path.time, skip_a, skip_b, forbidden_storages) != CellState::kBlocked) {
-        target_set.insert(t);
-      }
+      if (blocked_.at(t)) continue;
+      target_.at(t) = 1;
+      any_target = true;
     }
-    if (target_set.empty()) return false;
+    if (!any_target) return false;
     // Trivial case: the regions touch (e.g. storage overlapping its parent).
     for (const Point& s : sources) {
-      if (target_set.contains(s)) {
+      if (target_.at(s)) {
         path.cells = {s};
         return true;
       }
     }
 
-    const double inf = std::numeric_limits<double>::infinity();
-    Grid<double> dist(chip.width(), chip.height(), inf);
-    Grid<Point> prev(chip.width(), chip.height(), Point{-1, -1});
+    // Both grids are reset: a stale `prev_` link would lead the walk back
+    // from `reached` past a source of this search.
+    dist_.fill(std::numeric_limits<double>::infinity());
+    prev_.fill(Point{-1, -1});
     using Entry = std::pair<double, Point>;
     auto cmp = [](const Entry& a, const Entry& b) {
       return a.first != b.first ? a.first > b.first
@@ -230,10 +239,8 @@ class Router {
     std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> queue(cmp);
     for (const Point& s : sources) {
       // A source terminal buried under a foreign live device is unusable.
-      if (cell_state(s, path.time, skip_a, skip_b, forbidden_storages) == CellState::kBlocked) {
-        continue;
-      }
-      dist.at(s) = 0.0;
+      if (blocked_.at(s)) continue;
+      dist_.at(s) = 0.0;
       queue.push({0.0, s});
     }
     if (queue.empty()) return false;
@@ -242,49 +249,36 @@ class Router {
     while (!queue.empty()) {
       const auto [d, cell] = queue.top();
       queue.pop();
-      if (d > dist.at(cell)) continue;
-      if (target_set.contains(cell)) {
+      if (d > dist_.at(cell)) continue;
+      if (target_.at(cell)) {
         reached = cell;
         break;
       }
       for (const Point& next : orthogonal_neighbours(cell)) {
-        if (!chip.bounds().contains(next)) continue;
-        const CellState state =
-            cell_state(next, path.time, skip_a, skip_b, forbidden_storages);
-        if (state == CellState::kBlocked) continue;
+        if (!chip.bounds().contains(next) || blocked_.at(next)) continue;
         // Avoid hot valves: both peristaltic load and control actuations
         // already accumulated count, so the max-actuation objective is not
         // pushed up by routing.
-        double step = 1.0 + congestion_cost(next, path) +
+        double step = 1.0 + (congested_.at(next) ? options_.congestion_penalty : 0.0) +
                       options_.pump_avoidance_weight *
                           (pump_loads_.at(next) + control_loads_.at(next));
-        if (used_cells_.contains(next)) step -= options_.reuse_discount;
+        if (used_.at(next)) step -= options_.reuse_discount;
         step = std::max(step, 0.1);
-        if (dist.at(cell) + step < dist.at(next)) {
-          dist.at(next) = dist.at(cell) + step;
-          prev.at(next) = cell;
-          queue.push({dist.at(next), next});
+        if (dist_.at(cell) + step < dist_.at(next)) {
+          dist_.at(next) = dist_.at(cell) + step;
+          prev_.at(next) = cell;
+          queue.push({dist_.at(next), next});
         }
       }
     }
     if (reached.x < 0) return false;
 
     path.cells.clear();
-    for (Point cell = reached; cell.x >= 0; cell = prev.at(cell)) {
+    for (Point cell = reached; cell.x >= 0; cell = prev_.at(cell)) {
       path.cells.push_back(cell);
     }
     std::reverse(path.cells.begin(), path.cells.end());
     return true;
-  }
-
-  double congestion_cost(const Point& cell, const RoutedPath& path) const {
-    for (const RoutedPath& other : routed_) {
-      if (!times_overlap(path, other)) continue;
-      if (std::find(other.cells.begin(), other.cells.end(), cell) != other.cells.end()) {
-        return options_.congestion_penalty;
-      }
-    }
-    return 0.0;
   }
 
   /// First storage whose free space is exceeded by this path, or -1.
@@ -311,7 +305,13 @@ class Router {
   Grid<int> pump_loads_;
   Grid<int> control_loads_;
   std::vector<RoutedPath> routed_;
-  std::set<Point> used_cells_;
+  Grid<char> used_;       ///< cells of every path routed so far
+  // Per-search state, refilled for each transport and reused across searches.
+  Grid<char> blocked_;    ///< obstacle map at the transport's time
+  Grid<char> congested_;  ///< cells of routed paths overlapping in time
+  Grid<char> target_;     ///< usable target terminals
+  Grid<double> dist_;
+  Grid<Point> prev_;
 };
 
 }  // namespace
@@ -320,6 +320,15 @@ RoutingResult route_all(const MappingProblem& problem, const Placement& placemen
                         const RouterOptions& options) {
   obs::Span span("route", "route_all");
   problem.validate_placement(placement);
+  const auto& ports = problem.chip().ports();
+  const auto input_ports = std::count_if(ports.begin(), ports.end(),
+                                         [](const arch::ChipPort& port) { return port.is_input; });
+  for (const auto& [fluid, port] : options.port_of_fluid) {
+    check_input(port >= 0 && port < input_ports,
+                "input port " + std::to_string(port) + " for fluid '" + fluid +
+                    "' is out of range: the chip has " + std::to_string(input_ports) +
+                    " input ports");
+  }
   Router router(problem, placement, options);
   RoutingResult result = router.run();
   if (span.active()) {
@@ -390,6 +399,15 @@ void validate_routing(const MappingProblem& problem, const Placement& placement,
       require(!device_phase, "path crosses live device '" + other.name + "': " + path.label);
       const bool storage_phase = path.time >= other.storage_from && path.time < other.start;
       if (storage_phase) {
+        // Only the ring of a storage is passable; the enclosed interior
+        // is not reachable.
+        const auto interior = placement[static_cast<std::size_t>(j)].interior_cells();
+        const bool enters_interior =
+            std::any_of(path.cells.begin(), path.cells.end(), [&](const Point& cell) {
+              return std::find(interior.begin(), interior.end(), cell) != interior.end();
+            });
+        require(!enters_interior,
+                "path crosses the interior of storage '" + other.name + "': " + path.label);
         const int free_space = other.volume - problem.storage_occupied_before(j, path.time);
         require(crossed <= free_space,
                 "path displaces more than the free space of storage '" + other.name +

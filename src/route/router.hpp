@@ -6,9 +6,10 @@
 //   * transfer:  parent device    -> child device / in-situ storage
 //   * drain:     terminal device  -> chip output port
 //
-// Obstacles are the footprints of devices live at the transport time.
-// In-situ storages with enough free space may be passed through (Fig. 8b);
-// when a path would displace more volume than the storage has free, the
+// Obstacles are dead valves and the footprints of devices live at the
+// transport time.  In-situ storages with enough free space may be passed
+// through on their ring (Fig. 8b); the enclosed interior is never reachable.
+// When a path would displace more volume than the storage has free, the
 // storage becomes an obstacle and the path is ripped up and re-routed
 // (Algorithm 1 L14-L17).  Crossings between temporally overlapping paths
 // are discouraged by a congestion cost so samples can move in parallel.
@@ -52,8 +53,9 @@ struct RouterOptions {
   /// Give up after this many rip-up attempts per path.
   int max_ripups = 8;
   /// Optional input-port pinning (see route/port_assignment.hpp): fills of
-  /// the named input fluid may only start at the given input-port index.
-  /// Empty = any input port (the paper's free-manipulation assumption).
+  /// the named input fluid may only start at the given input-port index,
+  /// which must lie in [0, number of input ports).  Empty = any input port
+  /// (the paper's free-manipulation assumption).
   std::map<std::string, int> port_of_fluid;
 };
 
@@ -66,13 +68,15 @@ struct RoutingResult {
 };
 
 /// Routes every transport of the mapped assay.  `placement` must be a valid
-/// placement for `problem`.
+/// placement for `problem`.  Throws fsyn::Error when a `port_of_fluid`
+/// index names no input port of the chip.
 RoutingResult route_all(const synth::MappingProblem& problem,
                         const synth::Placement& placement, const RouterOptions& options = {});
 
 /// Validates a routing result: paths are connected, stay on the chip, end
 /// at legal terminals, and never cross a live device's footprint except via
-/// a storage with free space.  Throws fsyn::LogicError on violation.
+/// a storage's ring with free space.  Re-derives every rule from the problem
+/// and placement alone.  Throws fsyn::LogicError on violation.
 void validate_routing(const synth::MappingProblem& problem, const synth::Placement& placement,
                       const RoutingResult& routing);
 
