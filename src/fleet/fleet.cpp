@@ -341,24 +341,6 @@ std::string FleetReport::to_json(bool include_timing) const {
   return os.str();
 }
 
-svc::MetricsRegistry::FleetStats to_fleet_stats(const FleetReport& report) {
-  svc::MetricsRegistry::FleetStats stats;
-  stats.chips = report.chips;
-  stats.assay_runs = report.assay_runs;
-  stats.self_tests = report.self_tests;
-  stats.faults_occurred = report.faults_occurred;
-  stats.faults_detected = report.faults_detected;
-  stats.faults_missed = report.faults_missed;
-  stats.false_positives = report.false_positives;
-  stats.repairs_attempted = report.repairs_attempted;
-  stats.repairs_succeeded = report.repairs_succeeded;
-  stats.chips_retired = report.chips_retired;
-  stats.detection_latency_runs = report.detection_latency_runs;
-  stats.runs_available = report.runs_available;
-  stats.runs_possible = report.runs_possible;
-  return stats;
-}
-
 svc::JobSpec make_fleet_job(std::shared_ptr<const assay::SequencingGraph> graph,
                             const FleetOptions& options) {
   check_input(graph != nullptr, "fleet job needs a sequencing graph");
@@ -366,12 +348,11 @@ svc::JobSpec make_fleet_job(std::shared_ptr<const assay::SequencingGraph> graph,
   spec.kind = svc::JobKind::kFleet;
   spec.priority = svc::JobPriority::kBatch;
   spec.name = "fleet " + graph->name();
-  spec.fleet_runner = [graph, options](const CancelToken& token,
-                                       svc::MetricsRegistry::FleetStats* stats) {
+  spec.fleet_runner = [graph, options](const CancelToken& token, svc::FleetStats* stats) {
     FleetOptions run_options = options;
     run_options.cancel = token;
     const FleetReport report = run_fleet(*graph, run_options);
-    if (stats != nullptr) *stats = to_fleet_stats(report);
+    if (stats != nullptr) *stats = report;
     return report.to_json();
   };
   return spec;

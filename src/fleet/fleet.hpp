@@ -74,51 +74,29 @@ struct FaultRecord {
   bool missed() const { return detected_run < 0; }
 };
 
-struct FleetReport {
+/// The fleet-wide counters (svc::FleetStats, which the service registry
+/// sums over fleet jobs) plus the run's identity and per-state breakdown.
+struct FleetReport : svc::FleetStats {
   std::string assay;
   int policy_increments = 0;
   bool asap = false;
   int chip_width = 0;
   int chip_height = 0;
   std::uint64_t seed = 0;
-  int chips = 0;
   int cadence = 0;
   int horizon = 0;
 
-  long assay_runs = 0;
-  long self_tests = 0;
-  long faults_occurred = 0;
-  long faults_detected = 0;
-  long faults_missed = 0;
-  long false_positives = 0;
-  long repairs_attempted = 0;
-  long repairs_succeeded = 0;
   long repairs_warm_started = 0;
   long degraded_warnings = 0;
   int chips_healthy = 0;
   int chips_degraded = 0;
   int chips_repaired = 0;
-  int chips_retired = 0;
-  long detection_latency_runs = 0;  ///< summed over detected faults
-  long runs_available = 0;          ///< chip-runs in service with no active fault
-  long runs_possible = 0;           ///< chips * horizon
 
   std::vector<FaultRecord> fault_log;  ///< sorted by (chip, valve)
 
   obs::HistogramSnapshot diagnosis_latency;
   obs::HistogramSnapshot repair_latency;
   double elapsed_seconds = 0.0;
-
-  double availability() const {
-    return runs_possible > 0
-               ? static_cast<double>(runs_available) / static_cast<double>(runs_possible)
-               : 0.0;
-  }
-  double mean_detection_latency_runs() const {
-    return faults_detected > 0 ? static_cast<double>(detection_latency_runs) /
-                                     static_cast<double>(faults_detected)
-                               : 0.0;
-  }
 
   /// Deterministic JSON document ("format": "flowsynth-fleet-v1"); timing
   /// fields (elapsed seconds, latency histograms) only with include_timing.
@@ -130,9 +108,6 @@ struct FleetReport {
 /// self-test + diagnosis + repair at the cadence.  Throws CancelledError
 /// when options.cancel fires.
 FleetReport run_fleet(const assay::SequencingGraph& graph, const FleetOptions& options);
-
-/// The report's aggregate counters in the service registry's shape.
-svc::MetricsRegistry::FleetStats to_fleet_stats(const FleetReport& report);
 
 /// Packages a fleet run as a svc::JobKind::kFleet job: the runner executes
 /// run_fleet under the job's token, folds the stats, and returns the

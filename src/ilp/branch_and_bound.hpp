@@ -20,6 +20,7 @@
 // worker on the calling thread.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -57,19 +58,16 @@ struct MilpWorkerStats {
   double idle_seconds = 0.0;  ///< time spent without a node to expand
 };
 
-struct MilpResult {
-  MilpStatus status = MilpStatus::kLimit;
-  std::vector<double> values;  ///< incumbent (model order); empty if none
-  double objective = 0.0;      ///< incumbent objective, user sense
-  double best_bound = 0.0;     ///< proven bound on the optimum, user sense
-  std::int64_t nodes = 0;      ///< LP relaxations solved
+/// Counters of MILP solves, declared once and carried by value from
+/// `solve_milp` through the mapper, scheduler and synthesis results to the
+/// service metrics and the stored result.
+struct SolveCounters {
+  std::int64_t nodes = 0;          ///< LP relaxations solved
   std::int64_t lp_iterations = 0;  ///< simplex iterations across all nodes
-  /// LP engine counters for this solve: warm/cold solves, primal/dual
-  /// pivots, bound flips, refactorizations, LU/eta telemetry, summed over
-  /// every worker's private solver.
+  /// LP engine counters: warm/cold solves, primal/dual pivots, bound flips,
+  /// refactorizations, LU/eta telemetry, summed over every worker's private
+  /// solver.
   LpSolverStats lp;
-
-  // ---- root cut loop + node-store + branching telemetry -----------------
   /// Counters of the root cutting-plane loop (zeros when cuts are off; the
   /// cut loop's LP work is folded into `lp` / `lp_iterations`).
   CutStats cuts;
@@ -80,13 +78,35 @@ struct MilpResult {
   /// global averages.
   std::int64_t impact_branch_decisions = 0;
   std::int64_t pseudocost_branch_decisions = 0;
-
-  // ---- worker telemetry ------------------------------------------------
   /// Workers that ran: 1 for `MilpOptions::threads = 0`; 0 when presolve
   /// settled the model before the tree search started.
   int threads = 0;
-  std::int64_t steals = 0;     ///< total cross-worker node steals
+  std::int64_t steals = 0;    ///< total cross-worker node steals
   double idle_seconds = 0.0;  ///< summed worker idle time
+
+  /// Folds another solve in: the widest solve for `arena_bytes` and
+  /// `threads`, sums for everything else.
+  void accumulate(const SolveCounters& other) {
+    nodes += other.nodes;
+    lp_iterations += other.lp_iterations;
+    lp.accumulate(other.lp);
+    cuts.accumulate(other.cuts);
+    arena_bytes = std::max(arena_bytes, other.arena_bytes);
+    impact_branch_decisions += other.impact_branch_decisions;
+    pseudocost_branch_decisions += other.pseudocost_branch_decisions;
+    threads = std::max(threads, other.threads);
+    steals += other.steals;
+    idle_seconds += other.idle_seconds;
+  }
+
+  bool operator==(const SolveCounters&) const = default;
+};
+
+struct MilpResult : SolveCounters {
+  MilpStatus status = MilpStatus::kLimit;
+  std::vector<double> values;  ///< incumbent (model order); empty if none
+  double objective = 0.0;      ///< incumbent objective, user sense
+  double best_bound = 0.0;     ///< proven bound on the optimum, user sense
   /// busy_time / (threads * wall).
   double parallel_efficiency = 1.0;
   std::vector<MilpWorkerStats> worker_stats;

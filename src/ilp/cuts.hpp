@@ -66,7 +66,7 @@ struct Cut {
   int age = 0;  ///< rounds since the cut last separated / was tight
 };
 
-/// Root cut-loop counters; flows SolverStats -> MilpResult -> metrics JSON.
+/// Root cut-loop counters; carried in ilp::SolveCounters (branch_and_bound.hpp).
 struct CutStats {
   std::int64_t gomory_generated = 0;  ///< GMI cuts that passed numerical vetting
   std::int64_t cover_generated = 0;   ///< cover cuts separated
@@ -83,6 +83,8 @@ struct CutStats {
     aged_out += other.aged_out;
     rounds += other.rounds;
   }
+
+  bool operator==(const CutStats&) const = default;
 };
 
 /// Bounded candidate store between separation rounds.

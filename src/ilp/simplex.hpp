@@ -136,6 +136,8 @@ struct LpSolverStats {
     lu_basis_nnz += other.lu_basis_nnz;
     devex_resets += other.devex_resets;
   }
+
+  bool operator==(const LpSolverStats&) const = default;
 };
 
 /// One row appended to a live LP by the root cut loop: `sum(vals * x) <= rhs`

@@ -1,5 +1,6 @@
 #include "report/result_io.hpp"
 
+#include <cstdint>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -41,6 +42,42 @@ Grid<int> read_grid(const JsonValue& rows, int width, int height) {
   }
   return grid;
 }
+
+/// Hands `visit(key, field)` every MILP counter the document stores, in
+/// document order; the writer and the reader both walk this one list.  The
+/// per-run worker telemetry (`threads`, `steals`, `idle_seconds`) and the
+/// LP's `rows_appended` / the cut loop's `aged_out` are not stored.
+template <typename Counters, typename Visit>
+void for_each_stored_counter(Counters& c, Visit&& visit) {
+  visit("nodes", c.nodes);
+  visit("lp_iterations", c.lp_iterations);
+  visit("iterations", c.lp.iterations);
+  visit("primal_pivots", c.lp.primal_pivots);
+  visit("dual_pivots", c.lp.dual_pivots);
+  visit("bound_flips", c.lp.bound_flips);
+  visit("refactorizations", c.lp.refactorizations);
+  visit("warm_solves", c.lp.warm_solves);
+  visit("cold_solves", c.lp.cold_solves);
+  visit("lu_refactorizations", c.lp.lu_refactorizations);
+  visit("eta_pivots", c.lp.eta_pivots);
+  visit("eta_nnz", c.lp.eta_nnz);
+  visit("lu_fill_nnz", c.lp.lu_fill_nnz);
+  visit("lu_basis_nnz", c.lp.lu_basis_nnz);
+  visit("devex_resets", c.lp.devex_resets);
+  visit("gomory_cuts", c.cuts.gomory_generated);
+  visit("cover_cuts", c.cuts.cover_generated);
+  visit("cuts_applied", c.cuts.applied);
+  visit("cuts_retained", c.cuts.retained);
+  visit("cut_rounds", c.cuts.rounds);
+  visit("impact_branch_decisions", c.impact_branch_decisions);
+  visit("pseudocost_branch_decisions", c.pseudocost_branch_decisions);
+  visit("arena_bytes", c.arena_bytes);
+}
+
+/// The leading keys of for_each_stored_counter every document carries.  The
+/// sparse-LU, cut, branching and arena keys postdate the format; older
+/// documents lack them, so they are read leniently.
+constexpr int kRequiredSolverKeys = 9;
 
 route::TransportKind kind_from_string(const std::string& name) {
   if (name == "fill") return route::TransportKind::kFill;
@@ -108,24 +145,13 @@ std::string stored_result_to_json(const StoredResult& stored) {
      << ", \"refinement_iterations\": " << r.refinement_iterations << ", \"chip_growths\": "
      << r.chip_growths << ", \"runtime_seconds\": " << r.runtime_seconds << "},\n";
 
-  os << "  \"solver\": {\"nodes\": " << r.milp_nodes << ", \"lp_iterations\": "
-     << r.milp_lp_iterations << ", \"iterations\": " << r.milp_lp.iterations
-     << ", \"primal_pivots\": " << r.milp_lp.primal_pivots << ", \"dual_pivots\": "
-     << r.milp_lp.dual_pivots << ", \"bound_flips\": " << r.milp_lp.bound_flips
-     << ", \"refactorizations\": " << r.milp_lp.refactorizations << ", \"warm_solves\": "
-     << r.milp_lp.warm_solves << ", \"cold_solves\": " << r.milp_lp.cold_solves
-     << ", \"lu_refactorizations\": " << r.milp_lp.lu_refactorizations
-     << ", \"eta_pivots\": " << r.milp_lp.eta_pivots << ", \"eta_nnz\": " << r.milp_lp.eta_nnz
-     << ", \"lu_fill_nnz\": " << r.milp_lp.lu_fill_nnz << ", \"lu_basis_nnz\": "
-     << r.milp_lp.lu_basis_nnz << ", \"devex_resets\": " << r.milp_lp.devex_resets
-     << ", \"gomory_cuts\": " << r.milp_cuts.gomory_generated
-     << ", \"cover_cuts\": " << r.milp_cuts.cover_generated
-     << ", \"cuts_applied\": " << r.milp_cuts.applied
-     << ", \"cuts_retained\": " << r.milp_cuts.retained
-     << ", \"cut_rounds\": " << r.milp_cuts.rounds
-     << ", \"impact_branch_decisions\": " << r.milp_impact_branch_decisions
-     << ", \"pseudocost_branch_decisions\": " << r.milp_pseudocost_branch_decisions
-     << ", \"arena_bytes\": " << r.milp_arena_bytes << "}\n";
+  os << "  \"solver\": {";
+  const char* separator = "";
+  for_each_stored_counter(r.milp, [&](const char* key, std::int64_t value) {
+    os << separator << '"' << key << "\": " << value;
+    separator = ", ";
+  });
+  os << "}\n";
   os << "}\n";
   return os.str();
 }
@@ -197,36 +223,10 @@ StoredResult stored_result_from_json(const std::string& text) {
   r.runtime_seconds = metrics.at("runtime_seconds").as_number();
 
   const JsonValue& solver = doc.at("solver");
-  r.milp_nodes = static_cast<long>(solver.at("nodes").as_int());
-  r.milp_lp_iterations = solver.at("lp_iterations").as_int();
-  r.milp_lp.iterations = solver.at("iterations").as_int();
-  r.milp_lp.primal_pivots = solver.at("primal_pivots").as_int();
-  r.milp_lp.dual_pivots = solver.at("dual_pivots").as_int();
-  r.milp_lp.bound_flips = solver.at("bound_flips").as_int();
-  r.milp_lp.refactorizations = solver.at("refactorizations").as_int();
-  r.milp_lp.warm_solves = solver.at("warm_solves").as_int();
-  r.milp_lp.cold_solves = solver.at("cold_solves").as_int();
-  // Sparse-LU and pricing telemetry postdate the format; older documents
-  // simply lack the keys, so read them leniently.
-  if (solver.has("lu_refactorizations"))
-    r.milp_lp.lu_refactorizations = solver.at("lu_refactorizations").as_int();
-  if (solver.has("eta_pivots")) r.milp_lp.eta_pivots = solver.at("eta_pivots").as_int();
-  if (solver.has("eta_nnz")) r.milp_lp.eta_nnz = solver.at("eta_nnz").as_int();
-  if (solver.has("lu_fill_nnz")) r.milp_lp.lu_fill_nnz = solver.at("lu_fill_nnz").as_int();
-  if (solver.has("lu_basis_nnz")) r.milp_lp.lu_basis_nnz = solver.at("lu_basis_nnz").as_int();
-  if (solver.has("devex_resets")) r.milp_lp.devex_resets = solver.at("devex_resets").as_int();
-  // Root-cut / branching / node-store telemetry postdates the fields above;
-  // same lenient treatment.
-  if (solver.has("gomory_cuts")) r.milp_cuts.gomory_generated = solver.at("gomory_cuts").as_int();
-  if (solver.has("cover_cuts")) r.milp_cuts.cover_generated = solver.at("cover_cuts").as_int();
-  if (solver.has("cuts_applied")) r.milp_cuts.applied = solver.at("cuts_applied").as_int();
-  if (solver.has("cuts_retained")) r.milp_cuts.retained = solver.at("cuts_retained").as_int();
-  if (solver.has("cut_rounds")) r.milp_cuts.rounds = solver.at("cut_rounds").as_int();
-  if (solver.has("impact_branch_decisions"))
-    r.milp_impact_branch_decisions = solver.at("impact_branch_decisions").as_int();
-  if (solver.has("pseudocost_branch_decisions"))
-    r.milp_pseudocost_branch_decisions = solver.at("pseudocost_branch_decisions").as_int();
-  if (solver.has("arena_bytes")) r.milp_arena_bytes = solver.at("arena_bytes").as_int();
+  int key_index = 0;
+  for_each_stored_counter(r.milp, [&](const char* key, std::int64_t& value) {
+    if (key_index++ < kRequiredSolverKeys || solver.has(key)) value = solver.at(key).as_int();
+  });
   return stored;
 }
 

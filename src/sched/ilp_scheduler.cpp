@@ -143,10 +143,8 @@ IlpScheduleResult schedule_optimal(const SequencingGraph& graph, const Policy& p
   const ilp::MilpResult solved = ilp::solve_milp(model, milp_options);
 
   IlpScheduleResult result;
+  static_cast<ilp::SolveCounters&>(result) = solved;
   result.status = solved.status;
-  result.nodes = solved.nodes;
-  result.lp_iterations = solved.lp_iterations;
-  result.lp = solved.lp;
   result.schedule.graph = &graph;
   result.schedule.transport_delay = options.transport_delay;
   result.schedule.start.assign(static_cast<std::size_t>(graph.size()), 0);

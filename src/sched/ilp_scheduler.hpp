@@ -30,12 +30,10 @@ struct IlpScheduleOptions {
   ilp::LpOptions lp;
 };
 
-struct IlpScheduleResult {
+/// The solve's counters (ilp::SolveCounters) plus the schedule it chose.
+struct IlpScheduleResult : ilp::SolveCounters {
   Schedule schedule;
   ilp::MilpStatus status = ilp::MilpStatus::kLimit;
-  long nodes = 0;
-  std::int64_t lp_iterations = 0;
-  ilp::LpSolverStats lp;  ///< LP engine counters (warm/cold solves, pivots)
 };
 
 /// Solves the scheduling ILP under `policy`.  The horizon is the list

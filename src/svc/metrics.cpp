@@ -81,20 +81,11 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   s.race_arms_cancelled = race_arms_cancelled_.load(std::memory_order_relaxed);
   s.reliability_jobs = reliability_jobs_.load(std::memory_order_relaxed);
   s.fleet_jobs = fleet_jobs_.load(std::memory_order_relaxed);
-  s.fleet_chips = fleet_chips_.load(std::memory_order_relaxed);
-  s.fleet_assay_runs = fleet_assay_runs_.load(std::memory_order_relaxed);
-  s.fleet_self_tests = fleet_self_tests_.load(std::memory_order_relaxed);
-  s.fleet_faults_occurred = fleet_faults_occurred_.load(std::memory_order_relaxed);
-  s.fleet_faults_detected = fleet_faults_detected_.load(std::memory_order_relaxed);
-  s.fleet_faults_missed = fleet_faults_missed_.load(std::memory_order_relaxed);
-  s.fleet_false_positives = fleet_false_positives_.load(std::memory_order_relaxed);
-  s.fleet_repairs_attempted = fleet_repairs_attempted_.load(std::memory_order_relaxed);
-  s.fleet_repairs_succeeded = fleet_repairs_succeeded_.load(std::memory_order_relaxed);
-  s.fleet_chips_retired = fleet_chips_retired_.load(std::memory_order_relaxed);
-  s.fleet_detection_latency_runs =
-      fleet_detection_latency_runs_.load(std::memory_order_relaxed);
-  s.fleet_runs_available = fleet_runs_available_.load(std::memory_order_relaxed);
-  s.fleet_runs_possible = fleet_runs_possible_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(counters_mutex_);
+    s.solver = solver_;
+    s.fleet = fleet_;
+  }
   s.queue_latency = queue_latency_.snapshot();
   s.synthesis_latency = synthesis_latency_.snapshot();
   s.total_latency = total_latency_.snapshot();
@@ -103,38 +94,16 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   s.queue_seconds = s.queue_latency.sum_seconds;
   s.synthesis_seconds = s.synthesis_latency.sum_seconds;
   s.total_seconds = s.total_latency.sum_seconds;
-  s.solver_nodes = solver_nodes_.load(std::memory_order_relaxed);
-  s.solver_lp_iterations = solver_lp_iterations_.load(std::memory_order_relaxed);
-  s.solver_primal_pivots = solver_primal_pivots_.load(std::memory_order_relaxed);
-  s.solver_dual_pivots = solver_dual_pivots_.load(std::memory_order_relaxed);
-  s.solver_refactorizations = solver_refactorizations_.load(std::memory_order_relaxed);
-  s.solver_warm_solves = solver_warm_solves_.load(std::memory_order_relaxed);
-  s.solver_cold_solves = solver_cold_solves_.load(std::memory_order_relaxed);
-  s.solver_lu_refactorizations = solver_lu_refactorizations_.load(std::memory_order_relaxed);
-  s.solver_eta_pivots = solver_eta_pivots_.load(std::memory_order_relaxed);
-  s.solver_eta_nnz = solver_eta_nnz_.load(std::memory_order_relaxed);
-  s.solver_lu_fill_nnz = solver_lu_fill_nnz_.load(std::memory_order_relaxed);
-  s.solver_lu_basis_nnz = solver_lu_basis_nnz_.load(std::memory_order_relaxed);
-  s.solver_devex_resets = solver_devex_resets_.load(std::memory_order_relaxed);
-  s.solver_gomory_cuts = solver_gomory_cuts_.load(std::memory_order_relaxed);
-  s.solver_cover_cuts = solver_cover_cuts_.load(std::memory_order_relaxed);
-  s.solver_cuts_applied = solver_cuts_applied_.load(std::memory_order_relaxed);
-  s.solver_cuts_retained = solver_cuts_retained_.load(std::memory_order_relaxed);
-  s.solver_cut_rounds = solver_cut_rounds_.load(std::memory_order_relaxed);
-  s.solver_impact_branch_decisions =
-      solver_impact_branch_decisions_.load(std::memory_order_relaxed);
-  s.solver_pseudocost_branch_decisions =
-      solver_pseudocost_branch_decisions_.load(std::memory_order_relaxed);
-  s.solver_arena_bytes = solver_arena_bytes_.load(std::memory_order_relaxed);
-  s.solver_threads = solver_threads_.load(std::memory_order_relaxed);
-  s.solver_steals = solver_steals_.load(std::memory_order_relaxed);
-  s.solver_idle_seconds =
-      static_cast<double>(solver_idle_micros_.load(std::memory_order_relaxed)) * 1e-6;
   fill_rates(s);
   return s;
 }
 
 std::string MetricsSnapshot::to_json() const {
+  const std::int64_t lp_solves = solver.lp.warm_solves + solver.lp.cold_solves;
+  const double warm_start_hit_rate =
+      lp_solves > 0
+          ? static_cast<double>(solver.lp.warm_solves) / static_cast<double>(lp_solves)
+          : 0.0;
   std::ostringstream os;
   os << "{\n"
      << "  \"jobs\": {\n"
@@ -149,33 +118,22 @@ std::string MetricsSnapshot::to_json() const {
      << "  \"reliability_jobs\": " << reliability_jobs << ",\n"
      << "  \"fleet\": {\n"
      << "    \"jobs\": " << fleet_jobs << ",\n"
-     << "    \"chips\": " << fleet_chips << ",\n"
-     << "    \"assay_runs\": " << fleet_assay_runs << ",\n"
-     << "    \"self_tests\": " << fleet_self_tests << ",\n"
-     << "    \"faults_occurred\": " << fleet_faults_occurred << ",\n"
-     << "    \"faults_detected\": " << fleet_faults_detected << ",\n"
-     << "    \"faults_missed\": " << fleet_faults_missed << ",\n"
-     << "    \"false_positives\": " << fleet_false_positives << ",\n"
-     << "    \"repairs_attempted\": " << fleet_repairs_attempted << ",\n"
-     << "    \"repairs_succeeded\": " << fleet_repairs_succeeded << ",\n"
-     << "    \"chips_retired\": " << fleet_chips_retired << ",\n"
-     << "    \"detection_latency_runs\": " << fleet_detection_latency_runs << ",\n"
+     << "    \"chips\": " << fleet.chips << ",\n"
+     << "    \"assay_runs\": " << fleet.assay_runs << ",\n"
+     << "    \"self_tests\": " << fleet.self_tests << ",\n"
+     << "    \"faults_occurred\": " << fleet.faults_occurred << ",\n"
+     << "    \"faults_detected\": " << fleet.faults_detected << ",\n"
+     << "    \"faults_missed\": " << fleet.faults_missed << ",\n"
+     << "    \"false_positives\": " << fleet.false_positives << ",\n"
+     << "    \"repairs_attempted\": " << fleet.repairs_attempted << ",\n"
+     << "    \"repairs_succeeded\": " << fleet.repairs_succeeded << ",\n"
+     << "    \"chips_retired\": " << fleet.chips_retired << ",\n"
+     << "    \"detection_latency_runs\": " << fleet.detection_latency_runs << ",\n"
      << "    \"mean_detection_latency_runs\": "
-     << format_fixed(fleet_faults_detected > 0
-                         ? static_cast<double>(fleet_detection_latency_runs) /
-                               static_cast<double>(fleet_faults_detected)
-                         : 0.0,
-                     4)
-     << ",\n"
-     << "    \"runs_available\": " << fleet_runs_available << ",\n"
-     << "    \"runs_possible\": " << fleet_runs_possible << ",\n"
-     << "    \"availability\": "
-     << format_fixed(fleet_runs_possible > 0
-                         ? static_cast<double>(fleet_runs_available) /
-                               static_cast<double>(fleet_runs_possible)
-                         : 0.0,
-                     6)
-     << "\n"
+     << format_fixed(fleet.mean_detection_latency_runs(), 4) << ",\n"
+     << "    \"runs_available\": " << fleet.runs_available << ",\n"
+     << "    \"runs_possible\": " << fleet.runs_possible << ",\n"
+     << "    \"availability\": " << format_fixed(fleet.availability(), 6) << "\n"
      << "  },\n"
      << "  \"race\": {\n"
      << "    \"arms_started\": " << race_arms_started << ",\n"
@@ -194,42 +152,30 @@ std::string MetricsSnapshot::to_json() const {
      << "    \"fleet\": " << fleet_latency.to_json() << "\n"
      << "  },\n"
      << "  \"solver\": {\n"
-     << "    \"nodes\": " << solver_nodes << ",\n"
-     << "    \"lp_iterations\": " << solver_lp_iterations << ",\n"
-     << "    \"primal_pivots\": " << solver_primal_pivots << ",\n"
-     << "    \"dual_pivots\": " << solver_dual_pivots << ",\n"
-     << "    \"refactorizations\": " << solver_refactorizations << ",\n"
-     << "    \"warm_solves\": " << solver_warm_solves << ",\n"
-     << "    \"cold_solves\": " << solver_cold_solves << ",\n"
-     << "    \"warm_start_hit_rate\": "
-     << format_fixed(solver_warm_solves + solver_cold_solves > 0
-                         ? static_cast<double>(solver_warm_solves) /
-                               static_cast<double>(solver_warm_solves + solver_cold_solves)
-                         : 0.0,
-                     4)
-     << ",\n"
-     << "    \"lu_refactorizations\": " << solver_lu_refactorizations << ",\n"
-     << "    \"eta_pivots\": " << solver_eta_pivots << ",\n"
-     << "    \"eta_nnz\": " << solver_eta_nnz << ",\n"
-     << "    \"fill_in_ratio\": "
-     << format_fixed(solver_lu_basis_nnz > 0
-                         ? static_cast<double>(solver_lu_fill_nnz) /
-                               static_cast<double>(solver_lu_basis_nnz)
-                         : 0.0,
-                     4)
-     << ",\n"
-     << "    \"devex_resets\": " << solver_devex_resets << ",\n"
-     << "    \"gomory_cuts\": " << solver_gomory_cuts << ",\n"
-     << "    \"cover_cuts\": " << solver_cover_cuts << ",\n"
-     << "    \"cuts_applied\": " << solver_cuts_applied << ",\n"
-     << "    \"cuts_retained\": " << solver_cuts_retained << ",\n"
-     << "    \"cut_rounds\": " << solver_cut_rounds << ",\n"
-     << "    \"impact_branch_decisions\": " << solver_impact_branch_decisions << ",\n"
-     << "    \"pseudocost_branch_decisions\": " << solver_pseudocost_branch_decisions << ",\n"
-     << "    \"arena_bytes\": " << solver_arena_bytes << ",\n"
-     << "    \"threads\": " << solver_threads << ",\n"
-     << "    \"steals\": " << solver_steals << ",\n"
-     << "    \"idle_seconds\": " << format_fixed(solver_idle_seconds, 6) << "\n"
+     << "    \"nodes\": " << solver.nodes << ",\n"
+     << "    \"lp_iterations\": " << solver.lp_iterations << ",\n"
+     << "    \"primal_pivots\": " << solver.lp.primal_pivots << ",\n"
+     << "    \"dual_pivots\": " << solver.lp.dual_pivots << ",\n"
+     << "    \"refactorizations\": " << solver.lp.refactorizations << ",\n"
+     << "    \"warm_solves\": " << solver.lp.warm_solves << ",\n"
+     << "    \"cold_solves\": " << solver.lp.cold_solves << ",\n"
+     << "    \"warm_start_hit_rate\": " << format_fixed(warm_start_hit_rate, 4) << ",\n"
+     << "    \"lu_refactorizations\": " << solver.lp.lu_refactorizations << ",\n"
+     << "    \"eta_pivots\": " << solver.lp.eta_pivots << ",\n"
+     << "    \"eta_nnz\": " << solver.lp.eta_nnz << ",\n"
+     << "    \"fill_in_ratio\": " << format_fixed(solver.lp.fill_in_ratio(), 4) << ",\n"
+     << "    \"devex_resets\": " << solver.lp.devex_resets << ",\n"
+     << "    \"gomory_cuts\": " << solver.cuts.gomory_generated << ",\n"
+     << "    \"cover_cuts\": " << solver.cuts.cover_generated << ",\n"
+     << "    \"cuts_applied\": " << solver.cuts.applied << ",\n"
+     << "    \"cuts_retained\": " << solver.cuts.retained << ",\n"
+     << "    \"cut_rounds\": " << solver.cuts.rounds << ",\n"
+     << "    \"impact_branch_decisions\": " << solver.impact_branch_decisions << ",\n"
+     << "    \"pseudocost_branch_decisions\": " << solver.pseudocost_branch_decisions << ",\n"
+     << "    \"arena_bytes\": " << solver.arena_bytes << ",\n"
+     << "    \"threads\": " << solver.threads << ",\n"
+     << "    \"steals\": " << solver.steals << ",\n"
+     << "    \"idle_seconds\": " << format_fixed(solver.idle_seconds, 6) << "\n"
      << "  },\n"
      << "  \"cache\": {\n"
      << "    \"hits\": " << cache.hits << ",\n"
@@ -288,43 +234,40 @@ std::string MetricsSnapshot::to_prometheus() const {
   w.sample("flowsynth_fleet_jobs_total", "", static_cast<double>(fleet_jobs));
   w.family("flowsynth_fleet_chips_total", "Virtual chips simulated across fleet jobs.",
            "counter");
-  w.sample("flowsynth_fleet_chips_total", "", static_cast<double>(fleet_chips));
+  w.sample("flowsynth_fleet_chips_total", "", static_cast<double>(fleet.chips));
   w.family("flowsynth_fleet_assay_runs_total", "Assay runs executed across the fleet.",
            "counter");
-  w.sample("flowsynth_fleet_assay_runs_total", "", static_cast<double>(fleet_assay_runs));
+  w.sample("flowsynth_fleet_assay_runs_total", "", static_cast<double>(fleet.assay_runs));
   w.family("flowsynth_fleet_self_tests_total", "Valve-array self-test schedules executed.",
            "counter");
-  w.sample("flowsynth_fleet_self_tests_total", "", static_cast<double>(fleet_self_tests));
+  w.sample("flowsynth_fleet_self_tests_total", "", static_cast<double>(fleet.self_tests));
   w.family("flowsynth_fleet_faults_total", "Fleet fault lifecycle events.", "counter");
   w.sample("flowsynth_fleet_faults_total", "event=\"occurred\"",
-           static_cast<double>(fleet_faults_occurred));
+           static_cast<double>(fleet.faults_occurred));
   w.sample("flowsynth_fleet_faults_total", "event=\"detected\"",
-           static_cast<double>(fleet_faults_detected));
+           static_cast<double>(fleet.faults_detected));
   w.sample("flowsynth_fleet_faults_total", "event=\"missed\"",
-           static_cast<double>(fleet_faults_missed));
+           static_cast<double>(fleet.faults_missed));
   w.sample("flowsynth_fleet_faults_total", "event=\"false_positive\"",
-           static_cast<double>(fleet_false_positives));
+           static_cast<double>(fleet.false_positives));
   w.family("flowsynth_fleet_repairs_total", "Degraded re-synthesis repairs by outcome.",
            "counter");
   w.sample("flowsynth_fleet_repairs_total", "outcome=\"attempted\"",
-           static_cast<double>(fleet_repairs_attempted));
+           static_cast<double>(fleet.repairs_attempted));
   w.sample("flowsynth_fleet_repairs_total", "outcome=\"succeeded\"",
-           static_cast<double>(fleet_repairs_succeeded));
+           static_cast<double>(fleet.repairs_succeeded));
   w.family("flowsynth_fleet_chips_retired_total",
            "Chips retired (repair infeasible or repair budget exhausted).", "counter");
   w.sample("flowsynth_fleet_chips_retired_total", "",
-           static_cast<double>(fleet_chips_retired));
+           static_cast<double>(fleet.chips_retired));
   w.family("flowsynth_fleet_detection_latency_runs_total",
            "Assay runs between fault onset and diagnosis, summed over detected faults.",
            "counter");
   w.sample("flowsynth_fleet_detection_latency_runs_total", "",
-           static_cast<double>(fleet_detection_latency_runs));
+           static_cast<double>(fleet.detection_latency_runs));
   w.family("flowsynth_fleet_availability",
            "Fraction of chip-runs in service with no active fault.", "gauge");
-  w.sample("flowsynth_fleet_availability", "",
-           fleet_runs_possible > 0 ? static_cast<double>(fleet_runs_available) /
-                                         static_cast<double>(fleet_runs_possible)
-                                   : 0.0);
+  w.sample("flowsynth_fleet_availability", "", fleet.availability());
 
   w.family("flowsynth_race_arms_total", "Synthesis race arms by event.", "counter");
   w.sample("flowsynth_race_arms_total", "event=\"started\"",
@@ -341,25 +284,25 @@ std::string MetricsSnapshot::to_prometheus() const {
   w.histogram("flowsynth_job_latency_seconds", "stage=\"fleet\"", fleet_latency);
 
   w.family("flowsynth_solver_nodes_total", "Branch-and-bound nodes explored.", "counter");
-  w.sample("flowsynth_solver_nodes_total", "", static_cast<double>(solver_nodes));
+  w.sample("flowsynth_solver_nodes_total", "", static_cast<double>(solver.nodes));
   w.family("flowsynth_solver_lp_iterations_total", "Simplex iterations.", "counter");
   w.sample("flowsynth_solver_lp_iterations_total", "",
-           static_cast<double>(solver_lp_iterations));
+           static_cast<double>(solver.lp_iterations));
   w.family("flowsynth_solver_pivots_total", "Simplex pivots by phase.", "counter");
   w.sample("flowsynth_solver_pivots_total", "phase=\"primal\"",
-           static_cast<double>(solver_primal_pivots));
+           static_cast<double>(solver.lp.primal_pivots));
   w.sample("flowsynth_solver_pivots_total", "phase=\"dual\"",
-           static_cast<double>(solver_dual_pivots));
+           static_cast<double>(solver.lp.dual_pivots));
   w.family("flowsynth_solver_solves_total", "LP solves by warm-start outcome.", "counter");
   w.sample("flowsynth_solver_solves_total", "start=\"warm\"",
-           static_cast<double>(solver_warm_solves));
+           static_cast<double>(solver.lp.warm_solves));
   w.sample("flowsynth_solver_solves_total", "start=\"cold\"",
-           static_cast<double>(solver_cold_solves));
+           static_cast<double>(solver.lp.cold_solves));
   w.family("flowsynth_solver_threads", "Widest parallel MILP solve seen.", "gauge");
-  w.sample("flowsynth_solver_threads", "", static_cast<double>(solver_threads));
+  w.sample("flowsynth_solver_threads", "", static_cast<double>(solver.threads));
   w.family("flowsynth_solver_steals_total", "Work-stealing events across MILP solves.",
            "counter");
-  w.sample("flowsynth_solver_steals_total", "", static_cast<double>(solver_steals));
+  w.sample("flowsynth_solver_steals_total", "", static_cast<double>(solver.steals));
 
   w.family("flowsynth_cache_events_total", "Result-cache lookups and evictions.", "counter");
   w.sample("flowsynth_cache_events_total", "event=\"hit\"", static_cast<double>(cache.hits));

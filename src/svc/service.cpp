@@ -191,7 +191,7 @@ JobResult BatchService::run_job(JobSpec& spec, Clock::time_point enqueued) {
         job_source.set_deadline_after(*spec.deadline);
       }
       obs::Span fleet_span("svc", "fleet " + spec.name);
-      MetricsRegistry::FleetStats stats;
+      FleetStats stats;
       const Clock::time_point fleet_started = Clock::now();
       std::string document = spec.fleet_runner(job_source.token(), &stats);
       metrics_.add_fleet_time(Clock::now() - fleet_started);
@@ -279,33 +279,7 @@ JobResult BatchService::run_job(JobSpec& spec, Clock::time_point enqueued) {
       metrics_.add_synthesis_time(Clock::now() - synth_started);
       // MILP solver counters of the (winning) synthesis; zeros for heuristic
       // runs, so the aggregate reflects ILP work only.
-      MetricsRegistry::SolverCounters counters;
-      counters.nodes = result.milp_nodes;
-      counters.lp_iterations = static_cast<long>(result.milp_lp_iterations);
-      counters.primal_pivots = static_cast<long>(result.milp_lp.primal_pivots);
-      counters.dual_pivots = static_cast<long>(result.milp_lp.dual_pivots);
-      counters.refactorizations = static_cast<long>(result.milp_lp.refactorizations);
-      counters.warm_solves = static_cast<long>(result.milp_lp.warm_solves);
-      counters.cold_solves = static_cast<long>(result.milp_lp.cold_solves);
-      counters.lu_refactorizations = static_cast<long>(result.milp_lp.lu_refactorizations);
-      counters.eta_pivots = static_cast<long>(result.milp_lp.eta_pivots);
-      counters.eta_nnz = static_cast<long>(result.milp_lp.eta_nnz);
-      counters.lu_fill_nnz = static_cast<long>(result.milp_lp.lu_fill_nnz);
-      counters.lu_basis_nnz = static_cast<long>(result.milp_lp.lu_basis_nnz);
-      counters.devex_resets = static_cast<long>(result.milp_lp.devex_resets);
-      counters.gomory_cuts = static_cast<long>(result.milp_cuts.gomory_generated);
-      counters.cover_cuts = static_cast<long>(result.milp_cuts.cover_generated);
-      counters.cuts_applied = static_cast<long>(result.milp_cuts.applied);
-      counters.cuts_retained = static_cast<long>(result.milp_cuts.retained);
-      counters.cut_rounds = static_cast<long>(result.milp_cuts.rounds);
-      counters.impact_branch_decisions =
-          static_cast<long>(result.milp_impact_branch_decisions);
-      counters.pseudocost_branch_decisions =
-          static_cast<long>(result.milp_pseudocost_branch_decisions);
-      counters.arena_bytes = static_cast<long>(result.milp_arena_bytes);
-      metrics_.record_solver(counters);
-      metrics_.record_solver_parallel(result.milp_threads, result.milp_steals,
-                                      result.milp_idle_seconds);
+      metrics_.record_solver(result.milp);
       out.result = std::make_shared<const synth::SynthesisResult>(std::move(result));
       cache_.insert(key, out.result);
     }

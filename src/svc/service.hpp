@@ -110,8 +110,7 @@ using JobObserver =
 /// published as JobResult::document.  It may run its own private
 /// BatchService for repairs but must never submit back into the service
 /// executing it (a pooled job waiting on pooled work deadlocks).
-using FleetRunner =
-    std::function<std::string(const CancelToken&, MetricsRegistry::FleetStats*)>;
+using FleetRunner = std::function<std::string(const CancelToken&, FleetStats*)>;
 
 struct JobSpec {
   JobKind kind = JobKind::kSynthesis;

@@ -250,19 +250,9 @@ std::optional<IlpMappingOutcome> map_ilp(const MappingProblem& problem,
   }
 
   IlpMappingOutcome outcome;
+  static_cast<ilp::SolveCounters&>(outcome) = result;
   outcome.status = result.status;
   outcome.best_bound = result.best_bound;
-  outcome.nodes = result.nodes;
-  outcome.lp_iterations = result.lp_iterations;
-  outcome.lp = result.lp;
-  outcome.cuts = result.cuts;
-  outcome.arena_bytes = result.arena_bytes;
-  outcome.impact_branch_decisions = result.impact_branch_decisions;
-  outcome.pseudocost_branch_decisions = result.pseudocost_branch_decisions;
-  outcome.threads = result.threads;
-  outcome.steals = result.steals;
-  outcome.idle_seconds = result.idle_seconds;
-  outcome.parallel_efficiency = result.parallel_efficiency;
   outcome.placement.assign(static_cast<std::size_t>(problem.task_count()),
                            DeviceInstance{arch::DeviceType{2, 2}, Point{0, 0}});
   for (int i = 0; i < problem.task_count(); ++i) {

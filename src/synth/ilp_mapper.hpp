@@ -44,25 +44,13 @@ struct IlpMapperOptions {
   ilp::CutOptions cuts;
 };
 
-struct IlpMappingOutcome {
+/// The solve's counters (ilp::SolveCounters) plus the placement it chose.
+struct IlpMappingOutcome : ilp::SolveCounters {
   Placement placement;
   int max_pump_load = 0;
   int max_pump_load_setting2 = 0;
   ilp::MilpStatus status = ilp::MilpStatus::kLimit;
   double best_bound = 0.0;  ///< proven lower bound on w
-  std::int64_t nodes = 0;
-  std::int64_t lp_iterations = 0;
-  ilp::LpSolverStats lp;  ///< LP engine counters (warm/cold solves, pivots)
-  // Root cut loop + node store + branching telemetry.
-  ilp::CutStats cuts;
-  std::int64_t arena_bytes = 0;
-  std::int64_t impact_branch_decisions = 0;
-  std::int64_t pseudocost_branch_decisions = 0;
-  // Tree-search worker telemetry.
-  int threads = 0;
-  std::int64_t steals = 0;
-  double idle_seconds = 0.0;
-  double parallel_efficiency = 1.0;
 };
 
 /// Builds and solves the mapping ILP.  Returns std::nullopt when the model

@@ -42,16 +42,7 @@ struct MappingAttempt {
   Placement placement;
   std::int64_t effort = 0;
   int refinements = 0;
-  std::int64_t milp_nodes = 0;
-  std::int64_t milp_lp_iterations = 0;
-  ilp::LpSolverStats milp_lp;
-  ilp::CutStats milp_cuts;
-  std::int64_t milp_arena_bytes = 0;
-  std::int64_t milp_impact_branch_decisions = 0;
-  std::int64_t milp_pseudocost_branch_decisions = 0;
-  int milp_threads = 0;
-  std::int64_t milp_steals = 0;
-  double milp_idle_seconds = 0.0;
+  ilp::SolveCounters milp;
 };
 
 std::optional<MappingAttempt> run_mapper(MappingProblem& problem,
@@ -61,7 +52,7 @@ std::optional<MappingAttempt> run_mapper(MappingProblem& problem,
     // no Algorithm-1 refinement loop is needed.
     const auto outcome = map_heuristic(problem, options.heuristic);
     if (!outcome.has_value()) return std::nullopt;
-    return MappingAttempt{outcome->placement, outcome->moves_tried, 0};
+    return MappingAttempt{outcome->placement, outcome->moves_tried, 0, {}};
   }
 
   // ILP mode: the model omits the free-space constraints for runtime (as in
@@ -78,19 +69,10 @@ std::optional<MappingAttempt> run_mapper(MappingProblem& problem,
     }
     const auto outcome = map_ilp(problem, ilp_options);
     if (!outcome.has_value()) return std::nullopt;
-    attempt.milp_nodes += outcome->nodes;
-    attempt.milp_lp_iterations += outcome->lp_iterations;
-    attempt.milp_lp.accumulate(outcome->lp);
-    attempt.milp_cuts.accumulate(outcome->cuts);
-    attempt.milp_arena_bytes = std::max(attempt.milp_arena_bytes, outcome->arena_bytes);
-    attempt.milp_impact_branch_decisions += outcome->impact_branch_decisions;
-    attempt.milp_pseudocost_branch_decisions += outcome->pseudocost_branch_decisions;
-    attempt.milp_threads = std::max(attempt.milp_threads, outcome->threads);
-    attempt.milp_steals += outcome->steals;
-    attempt.milp_idle_seconds += outcome->idle_seconds;
+    attempt.milp.accumulate(*outcome);
     if (forbid_first_overfull_pair(problem, outcome->placement)) {
       attempt.placement = outcome->placement;
-      attempt.effort = attempt.milp_nodes;
+      attempt.effort = attempt.milp.nodes;
       attempt.refinements = iteration;
       return attempt;
     }
@@ -158,16 +140,7 @@ std::optional<SynthesisResult> attempt_on_size(const assay::SequencingGraph& gra
   result.mapper_effort = attempt->effort;
   result.refinement_iterations = attempt->refinements;
   result.chip_growths = growth;
-  result.milp_nodes = attempt->milp_nodes;
-  result.milp_lp_iterations = attempt->milp_lp_iterations;
-  result.milp_lp = attempt->milp_lp;
-  result.milp_cuts = attempt->milp_cuts;
-  result.milp_arena_bytes = attempt->milp_arena_bytes;
-  result.milp_impact_branch_decisions = attempt->milp_impact_branch_decisions;
-  result.milp_pseudocost_branch_decisions = attempt->milp_pseudocost_branch_decisions;
-  result.milp_threads = attempt->milp_threads;
-  result.milp_steals = attempt->milp_steals;
-  result.milp_idle_seconds = attempt->milp_idle_seconds;
+  result.milp = attempt->milp;
 
   {
     obs::Span verify_span("sim", "verify");

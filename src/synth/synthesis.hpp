@@ -96,21 +96,9 @@ struct SynthesisResult {
   int chip_growths = 0;
   double runtime_seconds = 0.0;
 
-  // MILP solver counters (ILP mapper mode only; zeros for the heuristic),
-  // accumulated over the refinement iterations of the winning attempt.
-  std::int64_t milp_nodes = 0;
-  std::int64_t milp_lp_iterations = 0;
-  ilp::LpSolverStats milp_lp;
-  // Root cut loop + node store + branching telemetry, accumulated like the
-  // node counters.
-  ilp::CutStats milp_cuts;
-  std::int64_t milp_arena_bytes = 0;  ///< max over the attempt's solves
-  std::int64_t milp_impact_branch_decisions = 0;
-  std::int64_t milp_pseudocost_branch_decisions = 0;
-  // Tree-search worker telemetry (zeros for the heuristic mapper).
-  int milp_threads = 0;            ///< max workers used by any solve
-  std::int64_t milp_steals = 0;    ///< summed cross-worker node steals
-  double milp_idle_seconds = 0.0;
+  /// MILP solver counters (ILP mapper mode only; zeros for the heuristic),
+  /// accumulated over the refinement iterations of the winning attempt.
+  ilp::SolveCounters milp;
 };
 
 /// Runs reliability-aware synthesis for a scheduled assay.

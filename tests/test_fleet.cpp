@@ -321,11 +321,15 @@ TEST(ClosedLoop, FleetJobRunsThroughServiceWithMetrics) {
 
   const svc::MetricsSnapshot metrics = service.metrics();
   EXPECT_EQ(1, metrics.fleet_jobs);
-  EXPECT_EQ(4, metrics.fleet_chips);
-  EXPECT_GT(metrics.fleet_assay_runs, 0);
-  EXPECT_GT(metrics.fleet_faults_detected, 0);
-  EXPECT_GT(metrics.fleet_repairs_succeeded, 0);
-  EXPECT_GT(metrics.fleet_runs_possible, 0);
+  EXPECT_EQ(4, metrics.fleet.chips);
+  EXPECT_GT(metrics.fleet.assay_runs, 0);
+  EXPECT_GT(metrics.fleet.faults_detected, 0);
+  EXPECT_GT(metrics.fleet.repairs_succeeded, 0);
+  EXPECT_GT(metrics.fleet.runs_possible, 0);
+  // Fleet runs are bit-identical, so a rerun's counters are exactly what
+  // the job folded into the registry.
+  const FleetReport rerun = run_fleet(*graph, small_fleet_options());
+  EXPECT_EQ(metrics.fleet, static_cast<const svc::FleetStats&>(rerun));
 
   const std::string json = metrics.to_json();
   EXPECT_NE(json.find("\"fleet\""), std::string::npos);

@@ -338,12 +338,12 @@ TEST_F(EngineTest, StoredResultWithLegacySolverKeysStillLoads) {
   stored.policy_increments = 1;
   stored.seed = 7;
   stored.result = *healthy_;
-  stored.result.milp_nodes = 12;
-  stored.result.milp_lp_iterations = 345;
-  stored.result.milp_lp.primal_pivots = 67;
-  stored.result.milp_lp.dual_pivots = 89;
-  stored.result.milp_cuts.applied = 3;
-  stored.result.milp_arena_bytes = 4096;
+  stored.result.milp.nodes = 12;
+  stored.result.milp.lp_iterations = 345;
+  stored.result.milp.lp.primal_pivots = 67;
+  stored.result.milp.lp.dual_pivots = 89;
+  stored.result.milp.cuts.applied = 3;
+  stored.result.milp.arena_bytes = 4096;
   const std::string json = report::stored_result_to_json(stored);
 
   std::string legacy = json;
@@ -357,12 +357,83 @@ TEST_F(EngineTest, StoredResultWithLegacySolverKeysStillLoads) {
   EXPECT_EQ(loaded.assay, stored.assay);
   EXPECT_EQ(loaded.policy_increments, stored.policy_increments);
   EXPECT_EQ(loaded.seed, stored.seed);
-  EXPECT_EQ(loaded.result.milp_nodes, 12);
-  EXPECT_EQ(loaded.result.milp_lp.dual_pivots, 89);
-  EXPECT_EQ(loaded.result.milp_arena_bytes, 4096);
+  EXPECT_EQ(loaded.result.milp.nodes, 12);
+  EXPECT_EQ(loaded.result.milp.lp.dual_pivots, 89);
+  EXPECT_EQ(loaded.result.milp.arena_bytes, 4096);
   // Re-serializing gives the current document exactly: nothing but the
   // two legacy keys was dropped.
   EXPECT_EQ(report::stored_result_to_json(loaded), json);
+}
+
+/// `healthy` as a stored result whose stored solver counters are all
+/// distinct; the counters the document leaves out are set too.
+report::StoredResult with_distinct_solver_counters(const synth::SynthesisResult& healthy) {
+  report::StoredResult stored;
+  stored.assay = "pcr";
+  stored.result = healthy;
+  ilp::SolveCounters& c = stored.result.milp;
+  c.nodes = 101;
+  c.lp_iterations = 102;
+  c.lp.iterations = 103;
+  c.lp.primal_pivots = 104;
+  c.lp.dual_pivots = 105;
+  c.lp.bound_flips = 106;
+  c.lp.refactorizations = 107;
+  c.lp.warm_solves = 108;
+  c.lp.cold_solves = 109;
+  c.lp.lu_refactorizations = 110;
+  c.lp.eta_pivots = 111;
+  c.lp.eta_nnz = 112;
+  c.lp.lu_fill_nnz = 113;
+  c.lp.lu_basis_nnz = 114;
+  c.lp.devex_resets = 115;
+  c.cuts.gomory_generated = 116;
+  c.cuts.cover_generated = 117;
+  c.cuts.applied = 118;
+  c.cuts.retained = 119;
+  c.cuts.rounds = 120;
+  c.impact_branch_decisions = 121;
+  c.pseudocost_branch_decisions = 122;
+  c.arena_bytes = 123;
+  // Not stored: per-run worker telemetry and two internal counters.
+  c.lp.rows_appended = 124;
+  c.cuts.aged_out = 125;
+  c.threads = 126;
+  c.steals = 127;
+  c.idle_seconds = 1.5;
+  return stored;
+}
+
+TEST_F(EngineTest, StoredResultRoundTripsEverySolverCounter) {
+  const report::StoredResult stored = with_distinct_solver_counters(*healthy_);
+  const report::StoredResult loaded =
+      report::stored_result_from_json(report::stored_result_to_json(stored));
+  ilp::SolveCounters expected = stored.result.milp;
+  expected.lp.rows_appended = 0;
+  expected.cuts.aged_out = 0;
+  expected.threads = 0;
+  expected.steals = 0;
+  expected.idle_seconds = 0.0;
+  EXPECT_EQ(loaded.result.milp, expected);
+}
+
+TEST_F(EngineTest, StoredResultRequiresOnlyTheOriginalSolverKeys) {
+  // The first nine solver keys date from the format's first version and are
+  // required; the later ones are absent from older documents and load as 0.
+  const std::string json =
+      report::stored_result_to_json(with_distinct_solver_counters(*healthy_));
+  const auto without = [&json](const std::string& entry) {
+    std::string edited = json;
+    const std::size_t at = edited.find(entry);
+    EXPECT_NE(at, std::string::npos) << entry;
+    if (at != std::string::npos) edited.erase(at, entry.size());
+    return edited;
+  };
+  EXPECT_THROW(report::stored_result_from_json(without("\"nodes\": 101, ")), Error);
+  const report::StoredResult legacy =
+      report::stored_result_from_json(without(", \"arena_bytes\": 123"));
+  EXPECT_EQ(legacy.result.milp.arena_bytes, 0);
+  EXPECT_EQ(legacy.result.milp.pseudocost_branch_decisions, 122);
 }
 
 }  // namespace

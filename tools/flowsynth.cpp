@@ -325,6 +325,21 @@ assay::SequencingGraph load_target(const std::string& target) {
   return assay::load_assay_file(target);
 }
 
+/// The synthesis flags every synthesizing subcommand shares: `--seed`,
+/// `--ilp`, `--time-limit`, `--ilp-threads` and `--lp-cuts`.  `--grid` stays
+/// with the callers, because `reliability --in` deliberately ignores it.
+synth::SynthesisOptions synthesis_options(const CliOptions& cli) {
+  synth::SynthesisOptions options;
+  options.heuristic.seed = cli.seed;
+  if (cli.use_ilp) options.mapper = synth::MapperKind::kIlp;
+  if (cli.time_limit_seconds.has_value()) {
+    options.ilp.time_limit_seconds = *cli.time_limit_seconds;
+  }
+  options.ilp.threads = cli.ilp_threads;
+  options.ilp.cuts.enabled = cli.lp_cuts;
+  return options;
+}
+
 int run_schedule(const CliOptions& cli) {
   const auto graph = load_target(cli.target);
   const sched::Schedule schedule =
@@ -343,15 +358,8 @@ int run_synth(const CliOptions& cli) {
       cli.asap ? sched::schedule_asap(graph)
                : sched::schedule_with_policy(graph, sched::make_policy(graph, cli.policy));
 
-  synth::SynthesisOptions options;
+  synth::SynthesisOptions options = synthesis_options(cli);
   options.grid_size = cli.grid;
-  options.heuristic.seed = cli.seed;
-  if (cli.use_ilp) options.mapper = synth::MapperKind::kIlp;
-  if (cli.time_limit_seconds.has_value()) {
-    options.ilp.time_limit_seconds = *cli.time_limit_seconds;
-  }
-  options.ilp.threads = cli.ilp_threads;
-  options.ilp.cuts.enabled = cli.lp_cuts;
   const synth::SynthesisResult result = synth::synthesize(graph, schedule, options);
 
   std::cout << "chip:        " << result.chip_width << "x" << result.chip_height
@@ -408,14 +416,7 @@ int run_reliability(const CliOptions& cli) {
   int policy = cli.policy;
   bool asap = cli.asap;
   synth::SynthesisResult healthy;
-  synth::SynthesisOptions synth_options;
-  synth_options.heuristic.seed = cli.seed;
-  if (cli.use_ilp) synth_options.mapper = synth::MapperKind::kIlp;
-  if (cli.time_limit_seconds.has_value()) {
-    synth_options.ilp.time_limit_seconds = *cli.time_limit_seconds;
-  }
-  synth_options.ilp.threads = cli.ilp_threads;
-  synth_options.ilp.cuts.enabled = cli.lp_cuts;
+  synth::SynthesisOptions synth_options = synthesis_options(cli);
 
   if (!cli.in_path.empty()) {
     report::StoredResult stored = report::read_stored_result(cli.in_path);
@@ -499,14 +500,8 @@ int run_fleet(const CliOptions& cli) {
   options.chip.model.control = {cli.control_life, cli.shape};
   options.policy_increments = cli.policy;
   options.asap = cli.asap;
+  options.synthesis = synthesis_options(cli);
   options.synthesis.grid_size = cli.grid;
-  options.synthesis.heuristic.seed = cli.seed;
-  if (cli.use_ilp) options.synthesis.mapper = synth::MapperKind::kIlp;
-  if (cli.time_limit_seconds.has_value()) {
-    options.synthesis.ilp.time_limit_seconds = *cli.time_limit_seconds;
-  }
-  options.synthesis.ilp.threads = cli.ilp_threads;
-  options.synthesis.ilp.cuts.enabled = cli.lp_cuts;
 
   const fleet::FleetReport report = fleet::run_fleet(graph, options);
   const std::string json = report.to_json(cli.timing);
@@ -620,6 +615,8 @@ int run_batch(const CliOptions& cli) {
         if (g_batch_interrupted.load(std::memory_order_relaxed)) break;
         auto ctl = std::make_shared<BatchJobCtl>();
         svc::JobSpec spec;
+        spec.options = synthesis_options(cli);
+        spec.options.grid_size = cli.grid;
         spec.options.cancel = ctl->source.token();
         spec.on_phase = [ctl](std::uint64_t, svc::JobPhase phase, const char*,
                               const svc::JobResult*) {
@@ -637,19 +634,11 @@ int run_batch(const CliOptions& cli) {
         spec.graph = assay::make_benchmark(name);
         spec.policy_increments = p;
         spec.asap = cli.asap;
-        spec.options.grid_size = cli.grid;
-        spec.options.heuristic.seed = cli.seed;
         if (cli.reliability) {
           spec.kind = svc::JobKind::kReliability;
           spec.reliability.monte_carlo.trials = cli.trials;
           spec.reliability.monte_carlo.seed = cli.seed;
         }
-        if (cli.use_ilp) spec.options.mapper = synth::MapperKind::kIlp;
-        if (cli.time_limit_seconds.has_value()) {
-          spec.options.ilp.time_limit_seconds = *cli.time_limit_seconds;
-        }
-        spec.options.ilp.threads = cli.ilp_threads;
-        spec.options.ilp.cuts.enabled = cli.lp_cuts;
         if (cli.deadline_ms.has_value()) {
           spec.deadline = std::chrono::milliseconds(*cli.deadline_ms);
         }
