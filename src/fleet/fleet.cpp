@@ -200,7 +200,6 @@ FleetReport run_fleet(const assay::SequencingGraph& graph, const FleetOptions& o
       spec.asap = options.asap;
       spec.options = base;
       spec.options.grid_size = healthy.chip_width;
-      spec.options.max_chip_growth = 0;  // the manufactured matrix cannot grow
       spec.options.dead_valves = runtime.dead;
       {
         arch::Architecture matrix(healthy.chip_width, healthy.chip_height);

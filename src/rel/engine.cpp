@@ -81,7 +81,7 @@ std::optional<synth::Placement> repair_placement(const synth::MappingProblem& pr
     if (problem.placement_allowed(i, placement[static_cast<std::size_t>(i)])) continue;
     bool placed = false;
     const auto partners = problem.conflict_partners(i);
-    for (const arch::DeviceInstance& candidate : problem.candidates_for(i)) {
+    for (const arch::DeviceInstance& candidate : problem.candidates(i)) {
       if (std::all_of(partners.begin(), partners.end(), [&](int j) {
             return problem.pair_feasible(i, candidate, j,
                                          placement[static_cast<std::size_t>(j)]);
@@ -194,9 +194,9 @@ ReliabilityReport analyze(const assay::SequencingGraph& graph, const sched::Sche
     round.fault = event;
 
     synth::SynthesisOptions degraded = options.synthesis;
-    // The chip is already manufactured: pin the healthy matrix (this also
-    // disables the size sweep) and thread the accumulated dead set through
-    // MappingProblem into both mappers and the router.
+    // The chip is already manufactured: pin the healthy matrix (with dead
+    // valves synthesize tries that size only) and thread the accumulated
+    // dead set through MappingProblem into both mappers and the router.
     degraded.grid_size = healthy.chip_width;
     degraded.dead_valves = dead;
     if (!degraded.cancel.valid()) degraded.cancel = options.monte_carlo.cancel;

@@ -43,12 +43,8 @@ class Mapper {
         placed_at_(static_cast<std::size_t>(problem.task_count()), 0),
         ban_begin_(1, 0),
         conflict_votes_(static_cast<std::size_t>(problem.task_count()), 0) {
-    // The problem's candidate enumeration, so the heuristic and the ILP
-    // share one candidate space.
-    candidates_.reserve(static_cast<std::size_t>(problem.task_count()));
     for (int i = 0; i < problem.task_count(); ++i) {
-      candidates_.push_back(problem.candidates_for(i));
-      ban_begin_.push_back(ban_begin_.back() + candidates_.back().size());
+      ban_begin_.push_back(ban_begin_.back() + problem.candidates(i).size());
     }
     banned_.assign(ban_begin_.back(), 0);
   }
@@ -164,7 +160,7 @@ class Mapper {
       const auto ti = static_cast<std::size_t>(i);
       const MappingTask& task = problem_.task(i);
       const std::span<const int> partners = problem_.conflict_partners(i);
-      const std::vector<DeviceInstance>& pool = candidates_[ti];
+      const std::span<const DeviceInstance> pool = problem_.candidates(i);
       const char* const banned = banned_.data() + ban_begin_[ti];
       bool found = false;
       double best_score = 0.0;
@@ -265,7 +261,7 @@ class Mapper {
       const MappingTask& task = problem_.task(i);
 
       // Propose a random admissible instance for task i.
-      const std::vector<DeviceInstance>& pool = candidates_[static_cast<std::size_t>(i)];
+      const std::span<const DeviceInstance> pool = problem_.candidates(i);
       if (pool.empty()) continue;
       const DeviceInstance proposal = pool[rng_.next_below(pool.size())];
       ++moves_tried_;
@@ -307,7 +303,6 @@ class Mapper {
   Rng rng_;
   Grid<int> loads_;
   Placement placement_;
-  std::vector<std::vector<DeviceInstance>> candidates_;  ///< per task
   // Construction state, reused across greedy restarts: whether each task is
   // placed and at which position of its candidates, the rip-up bans (task
   // i's flags start at ban_begin_[i], one per candidate position), and the

@@ -50,7 +50,7 @@ std::optional<IlpMappingOutcome> map_ilp(const MappingProblem& problem,
 
     LinearExpr choose_one;
     LinearExpr le_link, ri_link, do_link, up_link;
-    for (const DeviceInstance& instance : problem.candidates_for(i)) {
+    for (const DeviceInstance& instance : problem.candidates(i)) {
       const Point origin = instance.origin;
       const arch::DeviceType type = instance.type;
       const VarId s = model.add_binary("s_" + task.name + "_" + std::to_string(origin.x) +

@@ -45,7 +45,7 @@ MappingProblem MappingProblem::build(const assay::SequencingGraph& graph,
     task.storage_from = first_arrival;
 
     for (const arch::DeviceType& type : arch::device_types_for_volume(op.volume)) {
-      if (!problem.chip_.placements_for(type).empty()) task.types.push_back(type);
+      if (problem.chip_.fits(DeviceInstance{type, Point{0, 0}})) task.types.push_back(type);
     }
     check_input(!task.types.empty(),
                 "no device type of volume " + std::to_string(op.volume) + " fits the chip");
@@ -54,6 +54,7 @@ MappingProblem MappingProblem::build(const assay::SequencingGraph& graph,
     problem.tasks_.push_back(std::move(task));
   }
   check_input(!problem.tasks_.empty(), "assay has no mappable operations");
+  problem.enumerate_candidates();
 
   int d = std::numeric_limits<int>::max();
   for (const MappingTask& task : problem.tasks_) {
@@ -98,6 +99,7 @@ void MappingProblem::set_dead_valves(std::vector<Point> dead) {
     check_input(chip_.bounds().contains(cell), "dead valve outside the matrix");
   }
   dead_ = std::move(dead);
+  enumerate_candidates();
 }
 
 bool MappingProblem::is_dead(const Point& cell) const {
@@ -108,25 +110,40 @@ bool MappingProblem::placement_allowed(int task_index, const DeviceInstance& dev
   if (!chip_.fits(device)) return false;
   const MappingTask& t = task(task_index);
   if (std::find(t.types.begin(), t.types.end(), device.type) == t.types.end()) return false;
-  const Rect footprint = device.footprint();
-  for (const arch::ChipPort& port : chip_.ports()) {
-    if (footprint.contains(port.cell)) return false;
-  }
-  for (const Point& cell : dead_) {
-    if (footprint.contains(cell)) return false;
-  }
-  return true;
+  return !covers_port_or_dead_valve(device.footprint());
 }
 
-std::vector<DeviceInstance> MappingProblem::candidates_for(int task_index) const {
-  std::vector<DeviceInstance> out;
-  for (const arch::DeviceType& type : task(task_index).types) {
-    for (const Point& origin : chip_.placements_for(type)) {
-      const DeviceInstance instance{type, origin};
-      if (placement_allowed(task_index, instance)) out.push_back(instance);
-    }
+bool MappingProblem::covers_port_or_dead_valve(const Rect& footprint) const {
+  for (const arch::ChipPort& port : chip_.ports()) {
+    if (footprint.contains(port.cell)) return true;
   }
-  return out;
+  for (const Point& cell : dead_) {
+    if (footprint.contains(cell)) return true;
+  }
+  return false;
+}
+
+void MappingProblem::enumerate_candidates() {
+  candidate_lists_.clear();
+  candidate_list_of_.clear();
+  std::vector<int> first_user;  // per list, the first task it was built for
+  for (const MappingTask& t : tasks_) {
+    std::size_t list = 0;
+    while (list < first_user.size() && task(first_user[list]).types != t.types) ++list;
+    if (list == first_user.size()) {
+      first_user.push_back(t.index);
+      std::vector<DeviceInstance>& out = candidate_lists_.emplace_back();
+      for (const arch::DeviceType& type : t.types) {
+        // Each origin fits and the type is the task's, so of
+        // placement_allowed only the port and dead-valve test is left.
+        for (const Point& origin : chip_.placements_for(type)) {
+          const DeviceInstance instance{type, origin};
+          if (!covers_port_or_dead_valve(instance.footprint())) out.push_back(instance);
+        }
+      }
+    }
+    candidate_list_of_.push_back(static_cast<int>(list));
+  }
 }
 
 bool MappingProblem::compute_parent_child(int a, int b) const {

@@ -114,15 +114,23 @@ class MappingProblem {
   /// (ports connect to off-chip pumps and must stay reachable).
   bool placement_allowed(int task, const arch::DeviceInstance& device) const;
 
-  /// All admissible instances for a task (every type x origin combination
-  /// passing placement_allowed).  The single candidate enumeration used by
-  /// both the ILP and the heuristic mapper.
-  std::vector<arch::DeviceInstance> candidates_for(int task) const;
+  /// All admissible instances for a task: each of its `types` in order,
+  /// times that type's origins in Architecture::placements_for order, kept
+  /// when placement_allowed.  The single candidate enumeration read by the
+  /// ILP model, the heuristic mapper and repairs.  placement_allowed reads
+  /// nothing of a task but its types, so tasks with equal `types` share one
+  /// list (same storage).  The lists are computed in build() and again by
+  /// set_dead_valves(), which invalidates spans taken before it.
+  std::span<const arch::DeviceInstance> candidates(int task) const {
+    return candidate_lists_[static_cast<std::size_t>(
+        candidate_list_of_[static_cast<std::size_t>(task)])];
+  }
 
   /// Fault tolerance (extension): valves that have worn out.  Dead valves
   /// are excluded from every device footprint and blocked for routing, so
   /// re-running synthesis maps the assay around them — the degradation
-  /// story the valve-centered architecture enables.
+  /// story the valve-centered architecture enables.  Recomputes the
+  /// candidate lists.
   void set_dead_valves(std::vector<Point> dead);
   bool is_dead(const Point& cell) const;
   const std::vector<Point>& dead_valves() const { return dead_; }
@@ -204,6 +212,12 @@ class MappingProblem {
     return std::span<const int>(tasks).subspan(static_cast<std::size_t>(begin[r]),
                                                static_cast<std::size_t>(begin[r + 1] - begin[r]));
   }
+  // One candidate list per distinct `types` vector; task i reads
+  // candidate_lists_[candidate_list_of_[i]].
+  std::vector<std::vector<arch::DeviceInstance>> candidate_lists_;
+  std::vector<int> candidate_list_of_;
+  void enumerate_candidates();
+  bool covers_port_or_dead_valve(const Rect& footprint) const;
   bool compute_parent_child(int a, int b) const;
   bool compute_co_parents(int a, int b) const;
   std::vector<Point> dead_;

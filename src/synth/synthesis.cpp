@@ -1,8 +1,18 @@
 #include "synth/synthesis.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <exception>
+#include <map>
+#include <mutex>
+#include <system_error>
+#include <thread>
 
 #include "obs/trace.hpp"
+#include "obs/trace_context.hpp"
 #include "sim/simulator.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -90,11 +100,6 @@ std::optional<SynthesisResult> attempt_on_size(const assay::SequencingGraph& gra
                                                const sched::Schedule& schedule,
                                                const SynthesisOptions& options, int side,
                                                int growth) {
-  obs::Span span("synth", "attempt");
-  if (span.active()) {
-    span.arg("side", side);
-    span.arg("growth", growth);
-  }
   arch::Architecture chip(side, side);
   MappingProblem problem = MappingProblem::build(graph, schedule, std::move(chip));
   problem.set_allow_storage_overlap(options.allow_storage_overlap);
@@ -160,6 +165,250 @@ std::optional<SynthesisResult> attempt_on_size(const assay::SequencingGraph& gra
   return result;
 }
 
+int hardware_threads() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+/// Hardware threads one attempt occupies: an ILP attempt runs `ilp.threads`
+/// search workers (the attempt's own thread among them).
+int attempt_width(const SynthesisOptions& options) {
+  return options.mapper == MapperKind::kIlp ? std::max(1, options.ilp.threads) : 1;
+}
+
+/// Attempts one synthesize() call runs at once, counting its own thread: no
+/// more than the hardware threads hold, nor than one sweep can use.  1
+/// without a sweep: the serial loop, and no thread is started.
+int in_flight_bound(const SynthesisOptions& options, int sweep) {
+  if (sweep <= 0) return 1;
+  return std::clamp(hardware_threads() / attempt_width(options), 1, sweep + 1);
+}
+
+/// The hardware threads helper attempts may occupy, shared by every
+/// synthesize() call in the process (pooled service jobs, race arms): one
+/// fewer than the host has, since each caller always runs attempts too.  A
+/// call that finds no free share runs exactly the serial sweep.
+std::atomic<int>& free_helper_threads() {
+  static std::atomic<int> free{hardware_threads() - 1};
+  return free;
+}
+
+bool acquire_helper_threads(int count) {
+  std::atomic<int>& free = free_helper_threads();
+  int available = free.load(std::memory_order_relaxed);
+  while (available >= count) {
+    if (free.compare_exchange_weak(available, available - count, std::memory_order_relaxed)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+void release_helper_threads(int count) {
+  free_helper_threads().fetch_add(count, std::memory_order_relaxed);
+}
+
+/// The chip-size attempts of one synthesize() call.  The sweep asks for
+/// sizes with take() in the serial loop's order and gets each result, or
+/// its exception, exactly where the serial loop met it.  Sizes queued ahead
+/// with prefetch() run on helper threads, at most `bound` attempts at once
+/// counting the caller, which runs a queued size itself rather than wait
+/// for one.  Each attempt has its own cancel tokens, chained to the
+/// caller's (mapper tokens to the mapper ones, so explicit mapper tokens
+/// still win); a failed probe below the first size cancels the probes
+/// below it, which the serial loop never reaches.
+class AttemptRunner {
+ public:
+  AttemptRunner(const assay::SequencingGraph& graph, const sched::Schedule& schedule,
+                const SynthesisOptions& options, int first_side, int bound)
+      : graph_(graph), schedule_(schedule), options_(options), first_side_(first_side),
+        bound_(bound), width_(attempt_width(options)), trace_(obs::current_trace()) {}
+  ~AttemptRunner() { stop(); }
+  AttemptRunner(const AttemptRunner&) = delete;
+  AttemptRunner& operator=(const AttemptRunner&) = delete;
+
+  /// Queues `side` to run ahead on a helper.  No-op with a bound of 1.
+  void prefetch(int side) {
+    if (bound_ == 1) return;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!slots_.try_emplace(side, options_).second) return;
+    queue_.push_back(side);
+    spawn_helpers();
+  }
+
+  /// The attempt on `side`: its result, or its exception rethrown.
+  std::optional<SynthesisResult> take(int side) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    auto it = slots_.try_emplace(side, options_).first;
+    Slot& slot = it->second;
+    if (slot.state == State::kQueued) {
+      std::erase(queue_, side);
+      run(side, slot, lock);
+    }
+    while (slot.state != State::kDone) {
+      // A helper has `side`; run the next queued size meanwhile.
+      if (queue_.empty()) {
+        done_.wait(lock);
+        continue;
+      }
+      const int next = queue_.front();
+      queue_.pop_front();
+      run(next, slots_.at(next), lock);
+    }
+    std::optional<SynthesisResult> result = std::move(slot.result);
+    const std::exception_ptr error = slot.error;
+    slots_.erase(it);
+    if (error) std::rethrow_exception(error);
+    return result;
+  }
+
+  /// Drops the queued sizes, cancels the running ones and joins every
+  /// helper.  Attempts read the caller's graph, schedule and options, so
+  /// this runs before synthesize() returns or throws.
+  void stop() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      queue_.clear();
+      for (auto& [side, slot] : slots_) {
+        if (slot.state == State::kRunning) slot.cancel();
+      }
+    }
+    for (std::thread& thread : threads_) thread.join();
+    threads_.clear();
+  }
+
+  /// Attempts started, and those of them that ended cancelled.
+  int started() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return started_;
+  }
+  int cancelled() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return cancelled_;
+  }
+
+ private:
+  enum class State { kQueued, kRunning, kDone };
+
+  struct Slot {
+    explicit Slot(const SynthesisOptions& options)
+        : synthesis(options.cancel), heuristic(options.heuristic.cancel),
+          ilp(options.ilp.cancel) {}
+    void cancel() {
+      synthesis.cancel();
+      heuristic.cancel();
+      ilp.cancel();
+    }
+    State state = State::kQueued;
+    CancelSource synthesis;
+    CancelSource heuristic;
+    CancelSource ilp;
+    std::optional<SynthesisResult> result;
+    std::exception_ptr error;
+  };
+
+  /// Runs the attempt on `side` with `lock` released, then publishes it.
+  void run(int side, Slot& slot, std::unique_lock<std::mutex>& lock) {
+    slot.state = State::kRunning;
+    ++started_;
+    lock.unlock();
+    std::optional<SynthesisResult> result;
+    std::exception_ptr error;
+    bool cancelled = false;
+    try {
+      obs::Span span("synth", "attempt");
+      if (span.active()) {
+        span.arg("side", side);
+        span.arg("growth", side - first_side_);
+      }
+      try {
+        SynthesisOptions options = options_;
+        options.cancel = slot.synthesis.token();
+        options.heuristic.cancel = slot.heuristic.token();
+        options.ilp.cancel = slot.ilp.token();
+        result = attempt_on_size(graph_, schedule_, options, side, side - first_side_);
+      } catch (const CancelledError&) {
+        if (span.active()) span.arg("cancelled", true);
+        throw;
+      }
+    } catch (const CancelledError&) {
+      cancelled = true;
+      error = std::current_exception();
+    } catch (...) {
+      error = std::current_exception();
+    }
+
+    lock.lock();
+    slot.result = std::move(result);
+    slot.error = error;
+    slot.state = State::kDone;
+    if (cancelled) ++cancelled_;
+    // A probe below the first size that fails ends the downward sweep, so
+    // the serial loop never reaches the probes below it.
+    if (side < first_side_ && (error || !slot.result.has_value())) {
+      std::erase_if(queue_, [&](int queued) {
+        if (queued >= side) return false;
+        slots_.erase(queued);
+        return true;
+      });
+      for (auto& [other, other_slot] : slots_) {
+        if (other < side && other_slot.state == State::kRunning) other_slot.cancel();
+      }
+    }
+    done_.notify_all();
+  }
+
+  /// Starts helpers for queued sizes while the bound and the process-wide
+  /// share allow.  Called with mutex_ held.
+  void spawn_helpers() {
+    // Helpers not running an attempt are about to take a queued size.
+    while (helpers_ < bound_ - 1 && static_cast<int>(queue_.size()) > helpers_ - busy_helpers_ &&
+           acquire_helper_threads(width_)) {
+      try {
+        threads_.emplace_back([this] { helper(); });
+      } catch (const std::system_error&) {
+        release_helper_threads(width_);  // no thread to be had: the caller runs the sizes
+        return;
+      }
+      ++helpers_;
+    }
+  }
+
+  void helper() {
+    // Attempt spans parent to the caller's synth/synthesize span and carry
+    // its trace id.
+    obs::TraceContextScope trace_scope(trace_);
+    if (obs::tracing_enabled()) obs::Tracer::instance().set_thread_name("synth attempt");
+    std::unique_lock<std::mutex> lock(mutex_);
+    while (!queue_.empty()) {
+      const int side = queue_.front();
+      queue_.pop_front();
+      ++busy_helpers_;
+      run(side, slots_.at(side), lock);
+      --busy_helpers_;
+    }
+    --helpers_;
+    release_helper_threads(width_);
+  }
+
+  const assay::SequencingGraph& graph_;
+  const sched::Schedule& schedule_;
+  const SynthesisOptions& options_;
+  const int first_side_;
+  const int bound_;
+  const int width_;
+  const obs::TraceContext trace_;
+
+  mutable std::mutex mutex_;
+  std::condition_variable done_;
+  std::map<int, Slot> slots_;  ///< by side; erased once taken
+  std::deque<int> queue_;      ///< prefetched sizes not yet started, in order
+  int helpers_ = 0;       ///< live helper threads
+  int busy_helpers_ = 0;  ///< ... of which running an attempt
+  int started_ = 0;
+  int cancelled_ = 0;
+  std::vector<std::thread> threads_;  ///< touched by the calling thread only
+};
+
 }  // namespace
 
 SynthesisResult synthesize(const assay::SequencingGraph& graph,
@@ -188,6 +437,9 @@ SynthesisResult synthesize(const assay::SequencingGraph& graph,
       arch::Architecture::sized_for(graph, schedule, options.chip_slack).width());
   // An explicit grid size disables the sweep: the caller wants that chip.
   const int sweep = options.grid_size.has_value() ? 0 : options.chip_sweep;
+  // Dead-valve coordinates belong to one manufactured matrix: it cannot grow.
+  const int max_growth = options.dead_valves.empty() ? options.max_chip_growth
+                                                     : std::min(options.max_chip_growth, 0);
 
   const auto score = [&](const SynthesisResult& r) {
     return r.vs1_max + options.valve_weight * r.valve_count;
@@ -197,29 +449,37 @@ SynthesisResult synthesize(const assay::SequencingGraph& graph,
     if (!candidate.has_value()) return;
     if (!best.has_value() || score(*candidate) < score(*best)) best = std::move(candidate);
   };
+
   // An attempt is a deterministic function of its size, so each size is
-  // tried at most once.
-  const auto attempt = [&](int side) {
-    return attempt_on_size(graph, schedule, options, side, side - first_side);
-  };
+  // tried at most once, and sizes the sweep needs can run ahead of it.
+  // Every size up to first_side + sweep is needed whatever the outcome: it
+  // is at most the first feasible size or within `sweep` above it.
+  AttemptRunner runner(graph, schedule, options, first_side, in_flight_bound(options, sweep));
+  for (int side = first_side; side <= first_side + sweep; ++side) runner.prefetch(side);
 
   // Scan upward from the estimate until the first feasible size.
   std::optional<SynthesisResult> best;
   int feasible_side = -1;
-  for (int growth = 0; growth <= options.max_chip_growth; ++growth) {
+  for (int growth = 0; growth <= max_growth; ++growth) {
     options.cancel.check("chip-size search");
     const int side = first_side + growth;
-    auto candidate = attempt(side);
+    auto candidate = runner.take(side);
     if (candidate.has_value()) {
       feasible_side = side;
       offer(best, std::move(candidate));
       break;
     }
+    // Needed for the same reason, should a larger size be feasible.
+    if (growth < max_growth) runner.prefetch(side + sweep + 1);
   }
   if (!best.has_value()) {
-    throw Error("synthesis failed: no feasible mapping/routing up to chip size " +
-                std::to_string(first_side + options.max_chip_growth) + "x" +
-                std::to_string(first_side + options.max_chip_growth));
+    const int last = first_side + max_growth;
+    const std::string chip = std::to_string(last) + "x" + std::to_string(last);
+    throw Error(options.dead_valves.empty()
+                    ? "synthesis failed: no feasible mapping/routing up to chip size " + chip
+                    : "synthesis failed: no feasible mapping/routing on the " + chip +
+                          " chip with " + std::to_string(options.dead_valves.size()) +
+                          " dead valves (a chip with dead valves cannot grow)");
   }
 
   if (sweep > 0) {
@@ -227,11 +487,13 @@ SynthesisResult synthesize(const assay::SequencingGraph& graph,
     // estimate is deliberately conservative and the valve-count knee often
     // sits below it.  Only an estimate that succeeded leaves anything to
     // probe: otherwise the size below the first feasible one already
-    // failed in the scan above.
+    // failed in the scan above.  Each probe is needed only if every probe
+    // above it succeeds, so they run ahead speculatively.
     if (feasible_side == first_side) {
+      for (int side = first_side - 1; side >= 8; --side) runner.prefetch(side);
       for (int side = first_side - 1; side >= 8; --side) {
         options.cancel.check("chip-size sweep");
-        auto candidate = attempt(side);
+        auto candidate = runner.take(side);
         if (!candidate.has_value()) break;
         offer(best, std::move(candidate));
       }
@@ -239,15 +501,18 @@ SynthesisResult synthesize(const assay::SequencingGraph& graph,
     // And a few larger ones (more room can still lower the max actuation).
     for (int extra = 1; extra <= sweep; ++extra) {
       options.cancel.check("chip-size sweep");
-      offer(best, attempt(feasible_side + extra));
+      offer(best, runner.take(feasible_side + extra));
     }
   }
+  runner.stop();
   best->runtime_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
   if (span.active()) {
     span.arg("chip", best->chip_width);
     span.arg("vs1_max", best->vs1_max);
     span.arg("valves", best->valve_count);
+    span.arg("attempts", runner.started());
+    span.arg("cancelled", runner.cancelled());
   }
   return *best;
 }

@@ -46,6 +46,13 @@ struct SynthesisOptions {
   /// #v` is kept: bigger matrices spread actuations (lower vs) but
   /// implement more valves; the weight picks the knee of that trade-off.
   /// 0 disables the sweep and keeps the first success.
+  ///
+  /// With a sweep, attempts run concurrently: up to min(hardware threads,
+  /// chip_sweep + 1) at once per call (an ILP attempt with `ilp.threads` >
+  /// 1 counts as that many), on the calling thread and on helper threads
+  /// from one process-wide share of hardware threads - 1.  Results are
+  /// consumed in the serial order above, so the chosen design is the same
+  /// as one thread would choose.  Without a sweep no thread is started.
   int chip_sweep = 3;
   double valve_weight = 0.5;
   /// Bound on Algorithm-1 L4-L9 iterations (storage-overlap forbidding).
@@ -60,7 +67,8 @@ struct SynthesisOptions {
 
   /// Fault tolerance (extension): worn-out valves to synthesize around.
   /// Requires an explicit `grid_size` (dead-valve coordinates are tied to
-  /// one matrix).
+  /// one manufactured matrix), and only that size is attempted: the chip
+  /// never grows, whatever `max_chip_growth` says.
   std::vector<Point> dead_valves;
 
   route::RouterOptions router;
@@ -68,7 +76,10 @@ struct SynthesisOptions {
   /// Cooperative cancellation (deadline or explicit cancel, see
   /// util/cancel.hpp).  Polled between chip-size attempts, refinement
   /// iterations and inside both mappers; `synthesize` throws
-  /// CancelledError when the token fires.  Inert by default.
+  /// CancelledError when the token fires, after every concurrent attempt
+  /// has stopped.  Each attempt runs on its own token chained to this one
+  /// (and mapper tokens to the mapper ones), so the sweep can cancel a
+  /// speculative attempt alone.  Inert by default.
   CancelToken cancel;
 };
 
@@ -103,7 +114,8 @@ struct SynthesisResult {
 
 /// Runs reliability-aware synthesis for a scheduled assay.
 /// Throws fsyn::Error when no feasible synthesis exists within the options'
-/// growth limits.
+/// growth limits.  Thread-safe; concurrent calls share the sweep's helper
+/// threads.
 SynthesisResult synthesize(const assay::SequencingGraph& graph,
                            const sched::Schedule& schedule,
                            const SynthesisOptions& options = {});

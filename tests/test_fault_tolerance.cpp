@@ -26,7 +26,7 @@ TEST(FaultTolerance, DeadValvesExcludedFromPlacements) {
   EXPECT_TRUE(problem.is_dead(Point{5, 5}));
   EXPECT_FALSE(problem.is_dead(Point{4, 5}));
   for (int i = 0; i < problem.task_count(); ++i) {
-    for (const auto& candidate : problem.candidates_for(i)) {
+    for (const auto& candidate : problem.candidates(i)) {
       EXPECT_FALSE(candidate.footprint().contains(Point{5, 5}));
       EXPECT_FALSE(candidate.footprint().contains(Point{6, 5}));
     }
@@ -63,6 +63,27 @@ TEST(FaultTolerance, DeadValvesRequireExplicitGrid) {
   EXPECT_THROW(synth::synthesize(g, schedule, options), Error);
 }
 
+TEST(FaultTolerance, ChipWithDeadValvesNeverGrows) {
+  // Dead-valve coordinates belong to one manufactured matrix: with a 6x6
+  // block of them pcr does not fit the 8x8 chip, and synthesis must say so
+  // instead of returning a design for a larger chip.
+  const auto g = assay::make_pcr();
+  const auto schedule = sched::schedule_with_policy(g, sched::make_policy(g, 0));
+  synth::SynthesisOptions options;
+  options.grid_size = 8;
+  for (int x = 2; x <= 7; ++x) {
+    for (int y = 2; y <= 7; ++y) options.dead_valves.push_back(Point{x, y});
+  }
+  try {
+    const auto result = synth::synthesize(g, schedule, options);
+    ADD_FAILURE() << "synthesized on a " << result.chip_width << "x" << result.chip_height
+                  << " chip";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("dead valves cannot grow"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FaultTolerance, GracefulDegradationUnderRandomFailures) {
   // Re-synthesis survives a growing set of random dead valves (or refuses
   // cleanly); vs never collapses below the single-op bound.
@@ -80,6 +101,7 @@ TEST(FaultTolerance, GracefulDegradationUnderRandomFailures) {
     try {
       const auto result = synth::synthesize(g, schedule, options);
       ++successes;
+      EXPECT_EQ(result.chip_width, 12);
       EXPECT_GE(result.vs1_pump, 40);
       EXPECT_LE(result.valve_count, 12 * 12 - static_cast<int>(dead.size()));
     } catch (const Error&) {

@@ -244,7 +244,7 @@ TEST(MappingProblem, CandidatesExcludePortCells) {
   const auto schedule = sched::schedule_asap(fx.graph);
   auto problem = MappingProblem::build(fx.graph, schedule, arch::Architecture(10, 10));
   for (int i = 0; i < problem.task_count(); ++i) {
-    const auto candidates = problem.candidates_for(i);
+    const auto candidates = problem.candidates(i);
     EXPECT_FALSE(candidates.empty());
     for (const DeviceInstance& c : candidates) {
       for (const arch::ChipPort& port : problem.chip().ports()) {
@@ -252,6 +252,68 @@ TEST(MappingProblem, CandidatesExcludePortCells) {
             << "candidate covers port " << port.name;
       }
     }
+  }
+}
+
+/// The candidate enumeration by its definition: each of the task's types
+/// in order, times that type's origins, kept when placement_allowed.
+std::vector<DeviceInstance> enumerate(const MappingProblem& problem, int task) {
+  std::vector<DeviceInstance> out;
+  for (const DeviceType& type : problem.task(task).types) {
+    for (const Point& origin : problem.chip().placements_for(type)) {
+      const DeviceInstance instance{type, origin};
+      if (problem.placement_allowed(task, instance)) out.push_back(instance);
+    }
+  }
+  return out;
+}
+
+TEST(MappingProblem, CandidateListsFollowTheEnumerationAndAreShared) {
+  const auto g = assay::make_exponential_dilution();
+  const auto schedule = sched::schedule_asap(g);
+  auto problem = MappingProblem::build(g, schedule, arch::Architecture(16, 16));
+  const auto expect_lists = [&] {
+    std::vector<const DeviceInstance*> distinct;
+    for (int i = 0; i < problem.task_count(); ++i) {
+      const std::span<const DeviceInstance> list = problem.candidates(i);
+      const std::vector<DeviceInstance> expected = enumerate(problem, i);
+      ASSERT_FALSE(expected.empty());
+      EXPECT_TRUE(std::equal(list.begin(), list.end(), expected.begin(), expected.end()))
+          << problem.task(i).name;
+      for (int j = 0; j < i; ++j) {
+        const bool same_types = problem.task(j).types == problem.task(i).types;
+        EXPECT_EQ(problem.candidates(j).data() == list.data(), same_types)
+            << problem.task(j).name << " vs " << problem.task(i).name;
+      }
+      if (std::find(distinct.begin(), distinct.end(), list.data()) == distinct.end()) {
+        distinct.push_back(list.data());
+      }
+    }
+    // 51 tasks of 4 volumes.
+    EXPECT_EQ(distinct.size(), 4u);
+  };
+  expect_lists();
+  std::vector<std::vector<DeviceInstance>> healthy;
+  for (int i = 0; i < problem.task_count(); ++i) {
+    healthy.emplace_back(problem.candidates(i).begin(), problem.candidates(i).end());
+  }
+
+  // Dead valves remove exactly the candidates covering one of them.
+  const std::vector<Point> dead = {Point{3, 4}, Point{9, 9}, Point{15, 0}};
+  problem.set_dead_valves(dead);
+  expect_lists();
+  for (int i = 0; i < problem.task_count(); ++i) {
+    std::vector<DeviceInstance> expected;
+    for (const DeviceInstance& d : healthy[static_cast<std::size_t>(i)]) {
+      if (std::none_of(dead.begin(), dead.end(),
+                       [&](const Point& p) { return d.footprint().contains(p); })) {
+        expected.push_back(d);
+      }
+    }
+    const std::span<const DeviceInstance> list = problem.candidates(i);
+    EXPECT_LT(list.size(), healthy[static_cast<std::size_t>(i)].size());
+    EXPECT_TRUE(std::equal(list.begin(), list.end(), expected.begin(), expected.end()))
+        << problem.task(i).name;
   }
 }
 
@@ -278,8 +340,8 @@ void expect_partner_lists_sound(const MappingProblem& problem) {
       EXPECT_EQ(contains(conflict, b), contains(problem.conflict_partners(b), a));
       EXPECT_EQ(contains(proximity, b), contains(problem.proximity_partners(b), a));
       if (b == a || contains(conflict, b)) continue;
-      for (const DeviceInstance& da : problem.candidates_for(a)) {
-        for (const DeviceInstance& db : problem.candidates_for(b)) {
+      for (const DeviceInstance& da : problem.candidates(a)) {
+        for (const DeviceInstance& db : problem.candidates(b)) {
           if (!problem.pair_feasible(a, da, b, db)) {
             ADD_FAILURE() << "tasks " << a << " and " << b
                           << " are not conflict partners but can clash";

@@ -3,12 +3,18 @@
 // the chip-size sweep.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
+#include <set>
+#include <sstream>
 #include <string_view>
+#include <thread>
 
 #include "assay/benchmarks.hpp"
 #include "assay/parser.hpp"
 #include "obs/trace.hpp"
+#include "obs/trace_context.hpp"
 #include "sched/list_scheduler.hpp"
 #include "synth/synthesis.hpp"
 
@@ -160,14 +166,25 @@ mix    b volume 8 duration 6 from a i3
 }
 
 /// A default-options synthesis of one benchmark row, traced: the result,
-/// the sweep's first size (the sized_for estimate) and the side of every
-/// chip-size attempt in the order they ran.  Cached per row, since these
-/// are the sweep's slowest cases.
+/// the sweep's first size (the sized_for estimate) and the sides of the
+/// chip-size attempts that completed and of those that were cancelled, in
+/// the order they started.  Cached per row, since these are the sweep's
+/// slowest cases.
 struct TracedSweep {
   SynthesisResult result;
   int estimate = 0;
-  std::vector<int> sides;
+  std::vector<int> completed;
+  std::vector<int> cancelled;
 };
+
+int side_of(const obs::TraceEvent& e) {
+  const std::size_t side = e.args.find("\"side\":");
+  return side == std::string::npos ? -1 : std::stoi(e.args.substr(side + 7));
+}
+
+bool is_attempt(const obs::TraceEvent& e) {
+  return std::string_view(e.category) == "synth" && e.name == "attempt";
+}
 
 const TracedSweep& traced_sweep(const std::string& name, int increments) {
   static std::map<std::pair<std::string, int>, TracedSweep> cache;
@@ -185,28 +202,54 @@ const TracedSweep& traced_sweep(const std::string& name, int increments) {
   sweep.result = synthesize(g, schedule, options);
   tracer.disable();
   for (const obs::TraceEvent& e : tracer.drain()) {
-    if (std::string_view(e.category) != "synth" || e.name != "attempt") continue;
-    const std::size_t side = e.args.find("\"side\":");
-    if (side != std::string::npos) sweep.sides.push_back(std::stoi(e.args.substr(side + 7)));
+    if (!is_attempt(e)) continue;
+    const bool cancelled = e.args.find("\"cancelled\":true") != std::string::npos;
+    (cancelled ? sweep.cancelled : sweep.completed).push_back(side_of(e));
   }
   return cache.emplace(key, std::move(sweep)).first->second;
 }
 
+std::vector<int> sorted(std::vector<int> sides) {
+  std::sort(sides.begin(), sides.end());
+  return sides;
+}
+
+/// Attempts one default-options synthesize() call runs at once.
+int in_flight_bound() {
+  const int hardware = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  return std::min(hardware, SynthesisOptions{}.chip_sweep + 1);
+}
+
 TEST(Synthesis, EachChipSizeIsAttemptedOnce) {
-  // interpolating_dilution p2: the estimate 12 and 13 fail, 14 is the first
-  // feasible size, then 15-17.  Every size that failed on the way up stays
-  // failed, so nothing is probed below 14.
+  // Attempts run concurrently, so their order is not defined; the set is.
+  // interpolating_dilution, 2 increments: the estimate 12 and 13 fail, 14
+  // is the first feasible size, then 15-17.  Every size that failed on the
+  // way up stays failed, so nothing is probed below 14 and nothing is
+  // cancelled.
   const TracedSweep& interpolating = traced_sweep("interpolating_dilution", 2);
   EXPECT_EQ(interpolating.estimate, 12);
-  EXPECT_EQ(interpolating.sides, (std::vector<int>{12, 13, 14, 15, 16, 17}));
+  EXPECT_EQ(sorted(interpolating.completed), (std::vector<int>{12, 13, 14, 15, 16, 17}));
+  EXPECT_TRUE(interpolating.cancelled.empty());
 
-  // exponential_dilution p3: the estimate 20 succeeds, so the sweep probes
-  // downward to 9, its first failing size (routing fails there), then tries
-  // 21-23.
+  // exponential_dilution, 5 increments: the estimate 20 succeeds, so the
+  // sweep probes downward to 9, its first failing size (routing fails
+  // there), and tries 21-23.  Probes run ahead of the sweep, so one below 9
+  // may have started before 9 failed: it is cancelled then, or has already
+  // completed (8 fails in a fraction of 9's time).  Either way fewer such
+  // probes run than attempts run at once.
   const TracedSweep& exponential = traced_sweep("exponential_dilution", 5);
   EXPECT_EQ(exponential.estimate, 20);
-  EXPECT_EQ(exponential.sides,
-            (std::vector<int>{20, 19, 18, 17, 16, 15, 14, 13, 12, 11, 10, 9, 21, 22, 23}));
+  std::vector<int> needed;
+  std::vector<int> below;
+  for (const int side : exponential.completed) (side >= 9 ? needed : below).push_back(side);
+  EXPECT_EQ(sorted(needed),
+            (std::vector<int>{9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23}));
+  for (const int side : exponential.cancelled) {
+    EXPECT_LT(side, 9);
+    below.push_back(side);
+  }
+  for (const int side : below) EXPECT_GE(side, 8);  // the sweep's smallest size
+  EXPECT_LT(static_cast<int>(below.size()), in_flight_bound());
 }
 
 TEST(Synthesis, ChipGrowthsIsTheSignedDistanceFromTheEstimate) {
@@ -218,6 +261,107 @@ TEST(Synthesis, ChipGrowthsIsTheSignedDistanceFromTheEstimate) {
     EXPECT_EQ(sweep.result.chip_width, sweep.estimate + sweep.result.chip_growths) << name;
     EXPECT_NE(sweep.result.chip_growths, 0) << name;
   }
+}
+
+/// Everything a synthesis decides, as text: chip, placement, every routed
+/// path and cell, both ledgers and the sweep's counters.
+std::string design_text(const SynthesisResult& r) {
+  std::ostringstream out;
+  out << r.chip_width << "x" << r.chip_height << " growths " << r.chip_growths << " effort "
+      << r.mapper_effort << " refinements " << r.refinement_iterations << " vs " << r.vs1_max
+      << "/" << r.vs1_pump << "/" << r.vs2_max << "/" << r.vs2_pump << " #v " << r.valve_count
+      << "\n";
+  for (const arch::DeviceInstance& d : r.placement) {
+    out << d.type.width << "x" << d.type.height << "@" << d.origin.x << "," << d.origin.y << " ";
+  }
+  out << "\nrouting " << r.routing.success << " " << r.routing.total_cells << " "
+      << r.routing.rip_ups << "\n";
+  for (const route::RoutedPath& path : r.routing.paths) {
+    out << static_cast<int>(path.kind) << " " << path.task << " " << path.source_task << " "
+        << path.source_input.index << " " << path.label << " t" << path.time << ":";
+    for (const Point& cell : path.cells) out << " " << cell.x << "," << cell.y;
+    out << "\n";
+  }
+  for (const sim::ActuationLedger* ledger : {&r.ledger_setting1, &r.ledger_setting2}) {
+    for (const Grid<int>* grid : {&ledger->pump, &ledger->control}) {
+      for (const int value : *grid) out << value << " ";
+      out << "\n";
+    }
+  }
+  return out.str();
+}
+
+TEST(Synthesis, ConcurrentSweepIsDeterministic) {
+  // exponential_dilution with 3 increments wins below its estimate (13
+  // under 20), so its result comes from a speculative probe; mixing_tree
+  // with none sweeps upward.
+  for (const auto& [name, increments] :
+       {std::pair{"exponential_dilution", 3}, std::pair{"mixing_tree", 0}}) {
+    const auto g = assay::make_benchmark(name);
+    const auto schedule = sched::schedule_with_policy(g, sched::make_policy(g, increments));
+    const std::string first = design_text(synthesize(g, schedule));
+    for (int run = 1; run < 5; ++run) {
+      EXPECT_EQ(design_text(synthesize(g, schedule)), first) << name << " run " << run;
+    }
+  }
+}
+
+TEST(Synthesis, DeadlineCancelsTheConcurrentSweep) {
+  // The attempts of interpolating_dilution (2 increments) run on several
+  // threads; a 50 ms deadline must stop all of them, and synthesize() must
+  // join them before it throws.
+  const double uncancelled = traced_sweep("interpolating_dilution", 2).result.runtime_seconds;
+  const auto g = assay::make_benchmark("interpolating_dilution");
+  const auto schedule = sched::schedule_with_policy(g, sched::make_policy(g, 2));
+  CancelSource source;
+  source.set_deadline_after(std::chrono::milliseconds(50));
+  SynthesisOptions options;
+  options.cancel = source.token();
+  const auto started = std::chrono::steady_clock::now();
+  EXPECT_THROW(synthesize(g, schedule, options), CancelledError);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - started).count();
+  EXPECT_LT(elapsed, 0.5 * uncancelled);
+}
+
+TEST(Synthesis, AttemptSpansCarryTheCallersTrace) {
+  // Attempts on helper threads parent to the caller's synth/synthesize span
+  // and carry its trace id, as attempts on the caller's thread do.
+  const auto g = assay::make_benchmark("exponential_dilution");
+  const auto schedule = sched::schedule_with_policy(g, sched::make_policy(g, 5));
+  const obs::TraceContext context = obs::make_trace_context();
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.drain();
+  tracer.enable();
+  {
+    obs::TraceContextScope scope(context);
+    synthesize(g, schedule);
+  }
+  tracer.disable();
+  std::vector<obs::TraceEvent> attempts;
+  const obs::TraceEvent* sweep = nullptr;
+  const std::vector<obs::TraceEvent> events = tracer.drain();
+  for (const obs::TraceEvent& e : events) {
+    if (is_attempt(e)) attempts.push_back(e);
+    if (std::string_view(e.category) == "synth" && e.name == "synthesize") sweep = &e;
+  }
+  ASSERT_NE(sweep, nullptr);
+  EXPECT_EQ(sweep->trace_hi, context.trace_hi);
+  EXPECT_EQ(sweep->trace_lo, context.trace_lo);
+  ASSERT_GE(attempts.size(), 15u);
+  std::set<int> threads;
+  for (const obs::TraceEvent& e : attempts) {
+    EXPECT_EQ(e.trace_hi, context.trace_hi);
+    EXPECT_EQ(e.trace_lo, context.trace_lo);
+    EXPECT_EQ(e.parent_span, sweep->span_id);
+    threads.insert(e.tid);
+  }
+  if (in_flight_bound() > 1) {
+    EXPECT_GT(threads.size(), 1u);
+  }
+  EXPECT_NE(sweep->args.find("\"attempts\":" + std::to_string(attempts.size())),
+            std::string::npos)
+      << sweep->args;
 }
 
 TEST(Synthesis, RuntimeIsRecorded) {
