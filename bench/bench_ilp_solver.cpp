@@ -10,8 +10,8 @@
 //
 // Two committed baselines gate the node and LP-iteration counts (see
 // docs/benchmarking.md): bench/results/BENCH_ilp_t0.json for `--threads 0`,
-// the default every library caller runs (one worker on the reproducible
-// epoch schedule), and bench/results/BENCH_ilp.json for `--threads 1` (one
+// the default every library caller runs (one reproducible worker on the
+// calling thread), and bench/results/BENCH_ilp.json for `--threads 1` (one
 // asynchronous work-stealing worker).  `--basis dense` and `--pricing
 // dantzig` select the LP engine's reference implementations, which CI runs
 // to check that the production sparse LU + devex reach the same objectives.
@@ -223,7 +223,7 @@ void run(const std::string& name, const Model& model, const MilpOptions& options
 }  // namespace
 
 int main(int argc, char** argv) {
-  // `--threads N`: 0 (default) runs one worker on the epoch schedule;
+  // `--threads N`: 0 (default) runs one worker on the calling thread;
   // N >= 1 runs N asynchronous work-stealing workers.  CI runs several
   // thread counts, both bases and cuts on/off, and diffs objectives (they
   // must agree exactly).

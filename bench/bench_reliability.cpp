@@ -1,8 +1,8 @@
 // Reliability-engine performance smoke: one machine-readable JSON line per
-// benchmark assay with Monte Carlo throughput (trials/sec at 1 worker and
-// on a 4-worker pool, plus the speedup), the lifetime headline numbers,
-// and degraded re-synthesis latency percentiles over the top-wear fault
-// rounds.  Mirrors the bench_ilp_solver line format so CI can archive and
+// benchmark assay with Monte Carlo throughput (trials/sec inline and as 4
+// tasks on the shared executor — the `pool4` keys — plus the speedup), the
+// lifetime headline numbers, and degraded re-synthesis latency percentiles
+// over the top-wear fault rounds.  Mirrors the bench_ilp_solver line format so CI can archive and
 // diff BENCH_*.json trajectories.
 #include <chrono>
 #include <cstring>
@@ -13,7 +13,6 @@
 #include "bench_json.hpp"
 #include "rel/engine.hpp"
 #include "sched/list_scheduler.hpp"
-#include "svc/thread_pool.hpp"
 #include "synth/synthesis.hpp"
 
 using namespace fsyn;
@@ -44,12 +43,11 @@ void run(const std::string& name, int trials, int fault_rounds,
 
   const double serial_tps = measure_trials_per_second(valves, mc);
 
-  svc::ThreadPool pool(4);
   rel::MonteCarloOptions pooled = mc;
-  pooled.pool = &pool;
+  pooled.threads = 4;
   const double pooled_tps = measure_trials_per_second(valves, pooled);
 
-  // Determinism guard: the pooled estimate must equal the serial one bit
+  // Determinism guard: the 4-task estimate must equal the serial one bit
   // for bit, or the throughput numbers compare different computations.
   const double serial_mttf = rel::estimate_lifetime(valves, mc).mttf_runs;
   const double pooled_mttf = rel::estimate_lifetime(valves, pooled).mttf_runs;

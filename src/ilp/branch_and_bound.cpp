@@ -10,12 +10,11 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "ilp/presolve.hpp"
 #include "obs/trace.hpp"
-#include "svc/thread_pool.hpp"
+#include "svc/task_group.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -191,11 +190,14 @@ Box root_box(const Model& model, const PresolveResult* reduced) {
 // through the same `expand`; two schedules decide which worker expands
 // which node and when its side effects reach the shared state.
 //
-// Asynchronous work stealing (threads >= 1).  Open nodes live in a shared
-// pool: a global best-first heap (pool_mutex_) plus one small dive stack per
-// worker — a worker pushes the nearer child of its last branch onto its own
-// stack (dive locality is what makes dual-simplex warm starts cheap) and
-// publishes the other child to the global heap.  An idle worker takes from
+// Asynchronous work stealing (threads >= 1).  Workers 1..T-1 are tasks of
+// one svc::TaskGroup on the process-wide executor; ones no helper has
+// started when worker 0 finishes run on the caller and find the search
+// over.  Open nodes live in a shared pool: a global best-first heap
+// (pool_mutex_) plus one small dive stack per worker — a worker pushes the
+// nearer child of its last branch onto its own stack (dive locality is what
+// makes dual-simplex warm starts cheap) and publishes the other child to
+// the global heap.  An idle worker takes from
 // its stack, then the global heap, then steals the *oldest* entry of
 // another worker's stack (best bound, least disruption to the victim's
 // dive).  The incumbent objective is a lock-free atomic so bound pruning
@@ -204,18 +206,13 @@ Box root_box(const Model& model, const PresolveResult* reduced) {
 // children are registered before their parent retires, so the count only
 // reaches zero when the tree is exhausted.
 //
-// Epochs (`deterministic`, or threads = 0 with one worker).  Each round the
-// coordinator (worker 0) pops the T best open nodes, assigns batch[i] to
-// worker i, and after a barrier merges all side effects — incumbents,
-// children (which get their seq numbers here), pseudocost updates — in
-// worker-index order.  Workers only read shared state snapshotted at the
-// epoch start plus their own node's pseudocost observation, so repeated
-// runs with the same thread count produce bit-identical incumbent
-// trajectories and node counts (unless the run is cut short by the
-// wall-clock limit or cancellation, which stop at a timing-dependent
-// epoch).  With one worker this is a plain best-first (or depth-first)
-// search in which every node branches on statistics that already include
-// its own observation.
+// Serial (threads = 0).  One worker on the calling thread pops the best
+// open node, expands it and applies its side effects — incumbent, children
+// (which get their seq numbers here), pseudocost update — before the next
+// pop: a plain best-first (or depth-first) search in which every node
+// branches on statistics that already include its own observation, so
+// reruns are bit-identical (unless cut short by the wall-clock limit or
+// cancellation).
 class BranchAndBound {
  public:
   /// `root` is the bound box every node's branching decisions start from.
@@ -223,14 +220,13 @@ class BranchAndBound {
       : model_(model),
         options_(options),
         start_(Clock::now()),
-        epochs_(options.deterministic || options.threads == 0),
+        serial_(options.threads == 0),
         root_lower_(root.lower),
         root_upper_(root.upper) {
     const std::size_t n = static_cast<std::size_t>(model.variable_count());
     pc_down_.resize(n);
     pc_up_.resize(n);
-    threads_ = std::clamp(options.threads, 1, 64);
-    launched_ = threads_;
+    threads_ = std::max(options.threads, 1);
     workers_.reserve(static_cast<std::size_t>(threads_));
     for (int i = 0; i < threads_; ++i) {
       workers_.push_back(std::make_unique<Worker>(model_, options_.lp, i, root_lower_, root_upper_));
@@ -246,7 +242,7 @@ class BranchAndBound {
       incumbent_score_.store(min_score(model_.objective_value(*incumbent_values_)),
                              std::memory_order_relaxed);
     }
-    return epochs_ ? run_epochs() : run_async();
+    return serial_ ? run_serial() : run_async();
   }
 
  private:
@@ -302,17 +298,6 @@ class BranchAndBound {
     Observation observation;
     std::optional<std::vector<double>> candidate;
     std::vector<Node> children;
-  };
-
-  /// Lifetime gate for pool-borrowed helpers: a task that the pool starts
-  /// only after the search already returned must not touch the (possibly
-  /// destroyed) solver.  Shared ownership keeps the gate itself alive for
-  /// such stragglers; `dead` flips once the owning solve has drained.
-  struct BorrowGate {
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool dead = false;
-    int running = 0;
   };
 
   double min_score(double user_objective) const {
@@ -389,10 +374,10 @@ class BranchAndBound {
   /// averages stand in below the threshold, and until any observation
   /// exists at all the most-fractional variable is used.
   ///
-  /// `own` is the expanding node's observation, which the epoch schedule
-  /// records only at the merge (async callers pass none).  It is folded in
-  /// here with the same additions `record` makes, so every node branches on
-  /// statistics that already include its own observation.
+  /// `own` is the expanding node's observation, which the serial search
+  /// records only after the expansion (async callers pass none).  It is
+  /// folded in here with the same additions `record` makes, so every node
+  /// branches on statistics that already include its own observation.
   int select_branch_var(const std::vector<double>& values, const Observation& own) {
     std::lock_guard<std::mutex> lk(pc_mutex_);
     auto fold = [&own](BranchStats stats, bool up, bool same_var) {
@@ -539,7 +524,7 @@ class BranchAndBound {
     out.observation = observe(out.node, out.node_score);
     if (out.node_score >= incumbent_score - options_.absolute_gap) return out;
 
-    const int branch_var = select_branch_var(lp.values, epochs_ ? out.observation : Observation{});
+    const int branch_var = select_branch_var(lp.values, serial_ ? out.observation : Observation{});
     if (branch_var == -1) {
       std::vector<double> snapped = lp.values;
       for (int j = 0; j < model_.variable_count(); ++j) {
@@ -607,50 +592,25 @@ class BranchAndBound {
     global_.push_back(Node{});
     outstanding_.store(1, std::memory_order_relaxed);
 
-    std::vector<std::thread> helpers;
-    std::shared_ptr<BorrowGate> gate;
-    if (options_.pool != nullptr && threads_ > 1) {
-      gate = std::make_shared<BorrowGate>();
-      int accepted = 0;
-      for (int i = 1; i < threads_; ++i) {
-        Worker* w = workers_[static_cast<std::size_t>(i)].get();
-        auto task = [this, w, gate] {
-          {
-            std::lock_guard<std::mutex> lk(gate->mutex);
-            if (gate->dead) return;  // search finished; `this` may be gone
-            ++gate->running;
-          }
-          worker_loop(*w);
-          {
-            std::lock_guard<std::mutex> lk(gate->mutex);
-            --gate->running;
-          }
-          gate->cv.notify_all();
-        };
-        if (!options_.pool->try_submit(std::move(task))) break;  // full pool: fewer helpers
-        ++accepted;
-      }
-      launched_ = 1 + accepted;
-    } else {
-      helpers.reserve(static_cast<std::size_t>(threads_ - 1));
-      for (int i = 1; i < threads_; ++i) {
-        Worker* w = workers_[static_cast<std::size_t>(i)].get();
-        helpers.emplace_back([this, w] {
-          obs::Tracer::instance().set_thread_name("bnb-worker-" + std::to_string(w->index));
-          worker_loop(*w);
-        });
-      }
+    svc::TaskGroup helpers;
+    for (int i = 1; i < threads_; ++i) {
+      Worker* w = workers_[static_cast<std::size_t>(i)].get();
+      helpers.run([this, w] { run_worker(*w); });
     }
-
-    worker_loop(*workers_[0]);  // the caller always participates as worker 0
-
-    for (std::thread& t : helpers) t.join();
-    if (gate) {
-      std::unique_lock<std::mutex> lk(gate->mutex);
-      gate->cv.wait(lk, [&] { return gate->running == 0; });
-      gate->dead = true;  // tasks the pool has not started yet must no-op
-    }
+    run_worker(*workers_[0]);  // the caller always participates as worker 0
+    helpers.wait();
     return assemble_result();
+  }
+
+  /// A worker that throws stops the others, which would otherwise wait
+  /// forever for the node it held.
+  void run_worker(Worker& w) {
+    try {
+      worker_loop(w);
+    } catch (...) {
+      request_stop();
+      throw;
+    }
   }
 
   void worker_loop(Worker& w) {
@@ -795,154 +755,80 @@ class BranchAndBound {
     work_cv_.notify_all();
   }
 
-  // ---- epoch schedule ------------------------------------------------------
+  // ---- serial schedule -----------------------------------------------------
 
-  MilpResult run_epochs() {
-    global_.push_back(Node{});  // coordinator-owned in this schedule; no locking
-    batch_.reserve(static_cast<std::size_t>(threads_));
-    outcomes_.resize(static_cast<std::size_t>(threads_));
-
-    std::vector<std::thread> helpers;
-    helpers.reserve(static_cast<std::size_t>(threads_ - 1));
-    for (int i = 1; i < threads_; ++i) {
-      Worker* w = workers_[static_cast<std::size_t>(i)].get();
-      helpers.emplace_back([this, w] {
-        obs::Tracer::instance().set_thread_name("bnb-worker-" + std::to_string(w->index));
-        epoch_helper(*w);
-      });
-    }
-
+  MilpResult run_serial() {
+    global_.push_back(Node{});  // owned by the calling thread; no locking
     Worker& self = *workers_[0];
     obs::Span span("ilp", "bnb worker");
     if (span.active()) span.arg("worker", 0);
     std::int64_t processed = 0;
-    bool stop_all = false;
-    while (!stop_all) {
+    bool stop = false;
+    while (!stop) {
       if (limits_exceeded(processed)) {
         limit_hit_.store(true, std::memory_order_relaxed);
         break;
       }
-      batch_.clear();
       const double inc = incumbent_score_.load(std::memory_order_relaxed);
-      while (static_cast<int>(batch_.size()) < threads_ && !global_.empty()) {
+      std::optional<Node> node;
+      while (!node.has_value() && !global_.empty()) {
         if (options_.node_order == NodeOrder::kBestFirst) {
           std::pop_heap(global_.begin(), global_.end(), worse);
         }
-        Node node = std::move(global_.back());
+        Node top = std::move(global_.back());
         global_.pop_back();
-        if (node.bound_score >= inc - options_.absolute_gap) {
-          arena_.release(node.chain);
-          continue;
+        if (top.bound_score >= inc - options_.absolute_gap) {
+          arena_.release(top.chain);
+        } else {
+          node = std::move(top);
         }
-        batch_.push_back(std::move(node));
       }
-      if (batch_.empty()) break;
-      const int batch_size = static_cast<int>(batch_.size());
-      processed += batch_size;
-      nodes_.store(processed, std::memory_order_relaxed);
-
-      {
-        std::lock_guard<std::mutex> lk(epoch_mutex_);
-        batch_size_ = batch_size;
-        epoch_pending_ = batch_size - 1;
-        epoch_incumbent_ = inc;
-        ++generation_;
-      }
-      if (batch_size > 1) epoch_cv_.notify_all();
+      if (!node.has_value()) break;
+      nodes_.store(++processed, std::memory_order_relaxed);
 
       ++self.stats.nodes;
-      outcomes_[0] = expand(self, std::move(batch_[0]), inc);
-
-      if (batch_size > 1) {
-        const Clock::time_point idle_start = Clock::now();
-        {
-          std::unique_lock<std::mutex> lk(epoch_mutex_);
-          epoch_done_cv_.wait(lk, [this] { return epoch_pending_ == 0; });
-        }
-        self.stats.idle_seconds += std::chrono::duration<double>(Clock::now() - idle_start).count();
-      }
-
-      // Merge side effects in worker-index order — this fixed order (not
-      // completion order) is what makes the schedule reproducible.
+      NodeOutcome out = expand(self, std::move(*node), inc);
       bool improved = false;
-      for (int i = 0; i < batch_size && !stop_all; ++i) {
-        NodeOutcome& out = outcomes_[static_cast<std::size_t>(i)];
-        switch (out.lp_status) {
-          case LpStatus::kUnbounded:
-            unbounded_.store(true, std::memory_order_relaxed);
-            stop_all = true;
-            break;
-          case LpStatus::kIterationLimit:
-            limit_hit_.store(true, std::memory_order_relaxed);
-            atomic_min(pending_bound_, out.node.bound_score);
-            stop_all = true;
-            break;
-          case LpStatus::kInfeasible:
-          case LpStatus::kCutoff:
-            break;
-          case LpStatus::kOptimal: {
-            if (apply_optimal(out)) improved = true;
-            for (Node& child : out.children) {
-              child.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
-              global_.push_back(std::move(child));
-              if (options_.node_order == NodeOrder::kBestFirst) {
-                std::push_heap(global_.begin(), global_.end(), worse);
-              }
+      switch (out.lp_status) {
+        case LpStatus::kUnbounded:
+          unbounded_.store(true, std::memory_order_relaxed);
+          stop = true;
+          break;
+        case LpStatus::kIterationLimit:
+          limit_hit_.store(true, std::memory_order_relaxed);
+          atomic_min(pending_bound_, out.node.bound_score);
+          stop = true;
+          break;
+        case LpStatus::kInfeasible:
+        case LpStatus::kCutoff:
+          break;
+        case LpStatus::kOptimal:
+          improved = apply_optimal(out);
+          for (Node& child : out.children) {
+            child.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
+            global_.push_back(std::move(child));
+            if (options_.node_order == NodeOrder::kBestFirst) {
+              std::push_heap(global_.begin(), global_.end(), worse);
             }
-            out.children.clear();
-            break;
           }
-        }
-        arena_.release(out.node.chain);
-        out.node.chain = ChainArena::kNull;
+          break;
       }
-      if (improved || (processed & 0x7f) < batch_size) report_progress(improved);
+      arena_.release(out.node.chain);
+      if (improved || (processed & 0x7f) == 0) report_progress(improved);
     }
-
-    {
-      std::lock_guard<std::mutex> lk(epoch_mutex_);
-      finished_ = true;
-    }
-    epoch_cv_.notify_all();
-    for (std::thread& t : helpers) t.join();
     if (span.active()) span.arg("nodes", self.stats.nodes);
     return assemble_result();
-  }
-
-  void epoch_helper(Worker& w) {
-    obs::Span span("ilp", "bnb worker");
-    if (span.active()) span.arg("worker", w.index);
-    std::int64_t seen = 0;
-    std::unique_lock<std::mutex> lk(epoch_mutex_);
-    while (true) {
-      const Clock::time_point idle_start = Clock::now();
-      epoch_cv_.wait(lk, [&] { return finished_ || generation_ != seen; });
-      w.stats.idle_seconds += std::chrono::duration<double>(Clock::now() - idle_start).count();
-      if (finished_) break;
-      seen = generation_;
-      const bool has_work = w.index < batch_size_;
-      const double inc = epoch_incumbent_;
-      lk.unlock();
-      if (has_work) {
-        ++w.stats.nodes;
-        outcomes_[static_cast<std::size_t>(w.index)] =
-            expand(w, std::move(batch_[static_cast<std::size_t>(w.index)]), inc);
-      }
-      lk.lock();
-      if (has_work && --epoch_pending_ == 0) epoch_done_cv_.notify_one();
-    }
-    if (span.active()) span.arg("nodes", w.stats.nodes);
   }
 
   // ---- reporting / result --------------------------------------------------
 
   /// Emits the B&B progress telemetry: trace counter samples (incumbent,
-  /// open nodes and, on the epoch schedule, the proven bound; one track set
-  /// per thread so concurrent solves do not interleave) plus an INFO
+  /// open nodes and, on the serial schedule, the proven bound; one track
+  /// set per thread so concurrent solves do not interleave) plus an INFO
   /// heartbeat.  Rate-limited unless forced; called every 128 nodes, on
-  /// each epoch that improves the incumbent, and once at the end, so the
-  /// cost with tracing and INFO logging off is a branch per call.  Worker 0
-  /// / coordinator only (the timestamps are unsynchronized).
+  /// each serial expansion that improves the incumbent, and once at the
+  /// end, so the cost with tracing and INFO logging off is a branch per
+  /// call.  Worker 0 only (the timestamps are unsynchronized).
   void report_progress(bool force) {
     const bool tracing = obs::tracing_enabled();
     const bool logging = log_level() <= LogLevel::kInfo;
@@ -953,12 +839,12 @@ class BranchAndBound {
     const bool heartbeat = logging && now - last_heartbeat_ >= std::chrono::seconds(5);
     if (!sample && !heartbeat) return;
     const double inc = incumbent_score_.load(std::memory_order_relaxed);
-    // Between epochs the coordinator owns the open list, so it reports the
-    // open nodes and their bound exactly; async workers share only the
+    // Between expansions the serial worker owns the open list, so it reports
+    // the open nodes and their bound exactly; async workers share only the
     // outstanding (open + in-flight) count.
-    const std::int64_t open = epochs_ ? static_cast<std::int64_t>(global_.size())
+    const std::int64_t open = serial_ ? static_cast<std::int64_t>(global_.size())
                                       : outstanding_.load(std::memory_order_relaxed);
-    const double bound = epochs_ ? remaining_bound_score() : kInfinity;
+    const double bound = serial_ ? remaining_bound_score() : kInfinity;
     if (sample) {
       last_counter_emit_ = now;
       obs::Tracer& tracer = obs::Tracer::instance();
@@ -969,16 +855,16 @@ class BranchAndBound {
     }
     if (heartbeat) {
       last_heartbeat_ = now;
-      log_info("milp[", launched_, "t]: ", nodes_.load(std::memory_order_relaxed),
+      log_info("milp[", threads_, "t]: ", nodes_.load(std::memory_order_relaxed),
                " nodes, incumbent ",
                std::isfinite(inc) ? detail::concat(user_value(inc)) : std::string("none"),
-               epochs_ ? ", bound " + detail::concat(user_value(bound)) : std::string(),
+               serial_ ? ", bound " + detail::concat(user_value(bound)) : std::string(),
                ", open ", open);
     }
   }
 
   /// Tightest proven bound over everything still unexplored; only valid
-  /// while no worker runs (between epochs, or after the search).
+  /// while no other worker runs (the serial search, or after the search).
   double remaining_bound_score() const {
     double bound = pending_bound_.load(std::memory_order_relaxed);
     for (const Node& node : global_) bound = std::min(bound, node.bound_score);
@@ -994,7 +880,7 @@ class BranchAndBound {
   MilpResult assemble_result() {
     report_progress(true);
     MilpResult result;
-    result.threads = launched_;
+    result.threads = threads_;
     for (int i = 0; i < threads_; ++i) {
       const Worker& w = *workers_[static_cast<std::size_t>(i)];
       result.nodes += w.stats.nodes;
@@ -1002,7 +888,7 @@ class BranchAndBound {
       result.steals += w.stats.steals;
       result.idle_seconds += w.stats.idle_seconds;
       result.lp.accumulate(w.solver.stats());
-      if (i < launched_) result.worker_stats.push_back(w.stats);
+      result.worker_stats.push_back(w.stats);
     }
     result.arena_bytes = arena_.bytes();
     {
@@ -1012,7 +898,7 @@ class BranchAndBound {
     }
     const double wall = std::chrono::duration<double>(Clock::now() - start_).count();
     if (wall > 0.0) {
-      const double capacity = static_cast<double>(launched_) * wall;
+      const double capacity = static_cast<double>(threads_) * wall;
       result.parallel_efficiency =
           std::clamp((capacity - result.idle_seconds) / capacity, 0.0, 1.0);
     }
@@ -1038,14 +924,13 @@ class BranchAndBound {
   const Model& model_;
   const MilpOptions& options_;
   Clock::time_point start_;
-  const bool epochs_;  ///< epoch schedule (deterministic, or threads = 0)
+  const bool serial_;  ///< one worker on the serial schedule (threads = 0)
   const std::vector<double> root_lower_, root_upper_;
-  int threads_ = 1;    ///< configured worker count
-  int launched_ = 1;   ///< workers that actually ran (pool borrows can be rejected)
+  int threads_ = 1;  ///< workers the solve was given
   std::vector<std::unique_ptr<Worker>> workers_;
 
-  // Shared node pool.  Async schedule: guarded by pool_mutex_.  Epoch
-  // schedule: coordinator-owned, helpers never touch it.
+  // Shared node pool.  Async schedule: guarded by pool_mutex_.  Serial
+  // schedule: owned by the calling thread.
   std::mutex pool_mutex_;
   std::condition_variable work_cv_;
   ChainArena arena_;
@@ -1072,18 +957,6 @@ class BranchAndBound {
   std::atomic<bool> limit_hit_{false};
   std::atomic<bool> unbounded_{false};
 
-  // Epoch-schedule plumbing (all under epoch_mutex_; batch_ and
-  // outcomes_ slots are handed off through the generation bump / barrier).
-  std::mutex epoch_mutex_;
-  std::condition_variable epoch_cv_, epoch_done_cv_;
-  std::int64_t generation_ = 0;
-  int batch_size_ = 0;
-  int epoch_pending_ = 0;
-  bool finished_ = false;
-  double epoch_incumbent_ = kInfinity;
-  std::vector<Node> batch_;
-  std::vector<NodeOutcome> outcomes_;
-
   Clock::time_point last_counter_emit_{};
   Clock::time_point last_heartbeat_{};
 };
@@ -1102,6 +975,8 @@ const char* status_name(MilpStatus status) {
 }  // namespace
 
 MilpResult solve_milp(const Model& model, const MilpOptions& options) {
+  check_input(options.threads >= 0 && options.threads <= kMaxMilpThreads,
+              "MILP search workers must be 0.." + std::to_string(kMaxMilpThreads));
   obs::Span span("ilp", "solve_milp");
   if (span.active()) {
     span.arg("vars", model.variable_count());

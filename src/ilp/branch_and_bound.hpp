@@ -12,12 +12,12 @@
 // One search engine, two schedules.  Each worker owns a private
 // warm-started `LpSolver`, and the incumbent is shared through an atomic
 // objective so bound pruning takes effect across all workers immediately.
-// `MilpOptions::threads >= 1` runs N asynchronous workers that pull
-// bound-ordered nodes from a shared pool (global best-first heap plus
-// per-worker dive stacks with stealing).  `deterministic`, and the default
-// `threads = 0`, run an epoch-synchronized node-to-worker schedule whose
-// reruns are bit-identical; `threads = 0` is that schedule with a single
-// worker on the calling thread.
+// The default `threads = 0` runs one worker on the calling thread whose
+// reruns are bit-identical.  `MilpOptions::threads >= 1` runs N
+// asynchronous workers that pull bound-ordered nodes from a shared pool
+// (global best-first heap plus per-worker dive stacks with stealing): the
+// caller plus N - 1 tasks on the process-wide executor (svc/task_group.hpp),
+// so solves nested in pooled jobs or sweep attempts share its helpers.
 #pragma once
 
 #include <algorithm>
@@ -30,11 +30,10 @@
 #include "ilp/simplex.hpp"
 #include "util/cancel.hpp"
 
-namespace fsyn::svc {
-class ThreadPool;  // optional worker substrate; see MilpOptions::pool
-}  // namespace fsyn::svc
-
 namespace fsyn::ilp {
+
+/// Largest `MilpOptions::threads` a solve accepts.
+inline constexpr int kMaxMilpThreads = 64;
 
 enum class MilpStatus {
   kOptimal,     ///< proven optimal incumbent
@@ -78,8 +77,8 @@ struct SolveCounters {
   /// global averages.
   std::int64_t impact_branch_decisions = 0;
   std::int64_t pseudocost_branch_decisions = 0;
-  /// Workers that ran: 1 for `MilpOptions::threads = 0`; 0 when presolve
-  /// settled the model before the tree search started.
+  /// Workers the solve was given: 1 for `MilpOptions::threads = 0`; 0 when
+  /// presolve settled the model before the tree search started.
   int threads = 0;
   std::int64_t steals = 0;    ///< total cross-worker node steals
   double idle_seconds = 0.0;  ///< summed worker idle time
@@ -150,30 +149,17 @@ struct MilpOptions {
   CancelToken cancel;
 
   // ---- tree-search workers --------------------------------------------------
-  /// Workers exploring the tree, each with a private warm-started LpSolver.
-  /// 0 (the default) runs one worker on the calling thread on the epoch
-  /// schedule below, so the search is reproducible.  N >= 1 runs N
+  /// Workers exploring the tree, each with a private warm-started LpSolver,
+  /// 0..kMaxMilpThreads.  0 (the default) runs one worker on the calling
+  /// thread, so the search is reproducible: each node branches on
+  /// statistics that include its own observation.  N >= 1 runs N
   /// asynchronous workers pulling bound-ordered nodes from a shared pool
   /// (global best-first heap + per-worker dive stacks with stealing) under
-  /// a shared incumbent.
+  /// a shared incumbent: the calling thread as worker 0, workers 1..N-1 as
+  /// executor tasks.  The calling thread never waits for a helper to come
+  /// free, so progress does not depend on the executor having one; a
+  /// worker no helper started before the search ended runs as a no-op.
   int threads = 0;
-  /// Runs N >= 1 workers on synchronized epochs instead: each round, the T
-  /// best open nodes are assigned to workers by index and all side effects
-  /// (incumbents, children, pseudocosts) are merged in worker order at a
-  /// barrier; each worker branches on the epoch's statistics plus its own
-  /// node's observation.  Repeated runs with the same thread count give
-  /// bit-identical incumbent trajectories and node counts — provided the
-  /// solve is not stopped by the wall-clock limit or cancellation (those
-  /// cut the schedule at a timing-dependent epoch).  With N > 1 slower than
-  /// the asynchronous schedule, which it trades for reproducibility.
-  bool deterministic = false;
-  /// Optional worker substrate: when set (asynchronous schedule only), helper
-  /// workers are borrowed from this pool with a non-blocking submit instead
-  /// of spawning threads, so e.g. the svc batch service and parallel B&B
-  /// share one pool without oversubscription.  The calling thread always
-  /// participates as worker 0, so progress never depends on the pool having
-  /// free capacity (a rejected borrow just means fewer workers).
-  svc::ThreadPool* pool = nullptr;
 };
 
 MilpResult solve_milp(const Model& model, const MilpOptions& options = {});

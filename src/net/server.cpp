@@ -210,17 +210,13 @@ void HttpServer::serve() {
 
     // Push any new job events to their SSE watchers.  Cheap when nothing
     // changed: one map walk over (usually few) streaming connections.
-    std::vector<int> closed;
     for (auto& [fd, connection] : connections_) {
       if (!connection.sse_active || connection.sse_done) continue;
       pump_sse(connection);
-      if (connection.wants_write() && !write_ready(connection)) {
-        // write_ready erased it; connections_ iteration must restart.
-        closed.push_back(fd);
-        break;
-      }
+      // write_ready erased it (and `fd` with it), so the walk ends here;
+      // the next poll round serves the rest.
+      if (connection.wants_write() && !write_ready(connection)) break;
     }
-    (void)closed;
   }
 
   manager_.set_event_listener(nullptr);

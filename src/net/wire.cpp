@@ -1,5 +1,6 @@
 #include "net/wire.hpp"
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <utility>
@@ -116,10 +117,16 @@ WireSpec parse_wire_spec(const std::string& json_text) {
     spec.options.mapper = synth::MapperKind::kIlp;
   }
   if (const JsonValue* value = doc.find("time_limit_seconds")) {
-    spec.options.ilp.time_limit_seconds = value->as_number();
+    const double seconds = value->as_number();
+    check_input(std::isfinite(seconds) && seconds >= 0.0,
+                "\"time_limit_seconds\" must be finite and >= 0");
+    spec.options.ilp.time_limit_seconds = seconds;
   }
   if (const JsonValue* value = doc.find("ilp_threads")) {
-    spec.options.ilp.threads = static_cast<int>(value->as_int());
+    const std::int64_t threads = value->as_int();
+    check_input(threads >= 0 && threads <= ilp::kMaxMilpThreads,
+                "\"ilp_threads\" must be 0.." + std::to_string(ilp::kMaxMilpThreads));
+    spec.options.ilp.threads = static_cast<int>(threads);
   }
 
   // Interactive by default: a POSTed synthesis has a caller waiting on it.

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <limits>
-#include <mutex>
-#include <thread>
 
 #include "obs/trace.hpp"
+#include "svc/task_group.hpp"
 #include "util/error.hpp"
 
 namespace fsyn::rel {
@@ -77,7 +75,7 @@ LifetimeEstimate estimate_lifetime(const std::vector<sim::ValveWear>& valves,
     span.arg("trials", trials);
     span.arg("valves", valves.size());
     span.arg("blocks", blocks);
-    span.arg("pooled", options.pool != nullptr);
+    span.arg("threads", options.threads);
   }
 
   TrialArrays arrays;
@@ -99,37 +97,12 @@ LifetimeEstimate estimate_lifetime(const std::vector<sim::ValveWear>& valves,
   };
 
   const Clock::time_point started = Clock::now();
-  if (options.pool != nullptr && blocks > 1) {
-    // Pooled execution: submit every block, then wait on a completion
-    // latch.  Rejected submissions (bounded queue under kReject, or pool
-    // shutdown) degrade gracefully to inline execution on this thread.
-    std::mutex mutex;
-    std::condition_variable all_done;
-    int remaining = blocks;
-    const auto finish_one = [&] {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (--remaining == 0) all_done.notify_one();
-    };
-    for (int b = 0; b < blocks; ++b) {
-      const bool accepted = options.pool->submit([&, b] {
-        run_one_block(b);
-        finish_one();
-      });
-      if (!accepted) {
-        run_one_block(b);
-        finish_one();
-      }
-    }
-    std::unique_lock<std::mutex> lock(mutex);
-    all_done.wait(lock, [&] { return remaining == 0; });
-  } else if (options.threads > 1 && blocks > 1) {
-    // Self-managed workers: claim blocks off a shared counter.
+  const int workers = std::min(options.threads, blocks);
+  if (workers > 1) {
     std::atomic<int> next_block{0};
-    const int workers = std::min(options.threads, blocks);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(workers));
+    svc::TaskGroup group;
     for (int w = 0; w < workers; ++w) {
-      threads.emplace_back([&] {
+      group.run([&] {
         while (true) {
           const int b = next_block.fetch_add(1, std::memory_order_relaxed);
           if (b >= blocks) return;
@@ -137,7 +110,7 @@ LifetimeEstimate estimate_lifetime(const std::vector<sim::ValveWear>& valves,
         }
       });
     }
-    for (std::thread& thread : threads) thread.join();
+    group.wait();
   } else {
     for (int b = 0; b < blocks; ++b) run_one_block(b);
   }

@@ -6,8 +6,11 @@
 // first-failure attribution alongside MTTF and survival quantiles.
 //
 // Trials are independent, so they parallelize embarrassingly: blocks of
-// trials run on the svc thread pool (or self-managed workers, or inline).
-// Results are **bit-identical regardless of thread count**: each trial
+// trials are taken in turn by `threads` tasks on the process-wide executor
+// (svc/task_group.hpp), or run inline.  An estimate started from a pooled
+// job or from another executor task nests safely: the caller runs the tasks
+// no helper has started.  Results are **bit-identical regardless of thread
+// count**: each trial
 // seeds its own Rng from (seed, trial index), workers write into disjoint
 // slices of preallocated arrays, and the reduction runs sequentially in
 // trial order on the calling thread.  Cancellation is cooperative: blocks
@@ -18,7 +21,6 @@
 
 #include "obs/histogram.hpp"
 #include "rel/lifetime_model.hpp"
-#include "svc/thread_pool.hpp"
 #include "util/cancel.hpp"
 
 namespace fsyn::rel {
@@ -27,11 +29,7 @@ struct MonteCarloOptions {
   int trials = 1000;
   std::uint64_t seed = 42;
   LifetimeModel model;
-  /// Run trial blocks on this pool when set (does not own it).  The caller
-  /// must not run the estimator *from a task of the same pool* — blocks
-  /// waiting for pooled blocks deadlocks once estimates outnumber workers.
-  svc::ThreadPool* pool = nullptr;
-  /// Self-managed worker threads when no pool is given; 1 = inline.
+  /// Executor tasks taking trial blocks in turn; 1 = inline.
   int threads = 1;
   /// Trials per parallel work item.
   int block_size = 256;

@@ -1,12 +1,12 @@
 #include "report/table1.hpp"
 
-#include <future>
+#include <atomic>
 #include <map>
 #include <thread>
 
 #include "assay/benchmarks.hpp"
 #include "sched/list_scheduler.hpp"
-#include "svc/thread_pool.hpp"
+#include "svc/task_group.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -84,30 +84,27 @@ std::vector<Table1Row> run_full_table(const synth::SynthesisOptions& options, in
     const unsigned hardware = std::thread::hardware_concurrency();
     jobs = hardware > 0 ? static_cast<int>(hardware) : 1;
   }
-  if (jobs <= 1) {
-    std::vector<Table1Row> rows;
-    for (const RowSpec& spec : specs) {
-      rows.push_back(run_case(assay::make_benchmark(spec.benchmark), spec.increments,
-                              spec.label, options));
+  // Each row is an independent (schedule, baseline, synthesis) pipeline, so
+  // running them as `jobs` executor tasks, each taking rows in turn, changes
+  // wall-clock only, never the numbers.
+  std::vector<Table1Row> rows(specs.size());
+  std::atomic<std::size_t> next_row{0};
+  const auto take_rows = [&] {
+    while (true) {
+      const std::size_t i = next_row.fetch_add(1, std::memory_order_relaxed);
+      if (i >= specs.size()) return;
+      const RowSpec& spec = specs[i];
+      rows[i] = run_case(assay::make_benchmark(spec.benchmark), spec.increments, spec.label,
+                         options);
     }
+  };
+  if (jobs <= 1) {
+    take_rows();
     return rows;
   }
-
-  // Each row is an independent (schedule, baseline, synthesis) pipeline, so
-  // running them on the pool changes wall-clock only, never the numbers.
-  std::vector<std::future<Table1Row>> futures;
-  svc::ThreadPool pool(jobs);
-  for (const RowSpec& spec : specs) {
-    auto task = std::make_shared<std::packaged_task<Table1Row()>>([spec, options] {
-      return run_case(assay::make_benchmark(spec.benchmark), spec.increments, spec.label,
-                      options);
-    });
-    futures.push_back(task->get_future());
-    pool.submit([task] { (*task)(); });
-  }
-  std::vector<Table1Row> rows;
-  rows.reserve(futures.size());
-  for (auto& future : futures) rows.push_back(future.get());
+  svc::TaskGroup group;
+  for (int task = 0; task < jobs; ++task) group.run(take_rows);
+  group.wait();
   return rows;
 }
 

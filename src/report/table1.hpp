@@ -45,9 +45,10 @@ Table1Row run_case(const assay::SequencingGraph& graph, int policy_increments,
                    const synth::SynthesisOptions& options = {});
 
 /// The paper's twelve rows: every benchmark at its p1/p2/p3 increments.
-/// `jobs` > 1 runs the rows concurrently on a svc::ThreadPool (each row is
-/// an independent schedule+synthesis, so results are identical to the
-/// sequential run); 0 uses the hardware concurrency.
+/// `jobs` > 1 runs the rows concurrently as that many tasks on the
+/// process-wide executor (svc/task_group.hpp; each row is an independent
+/// schedule+synthesis, so results are identical to the sequential run); 0
+/// uses the hardware concurrency.
 std::vector<Table1Row> run_full_table(const synth::SynthesisOptions& options = {},
                                       int jobs = 1);
 

@@ -111,7 +111,6 @@ void mix_options(Hasher& h, const synth::SynthesisOptions& options) {
   // tie-break to a different optimal placement, so thread settings are
   // result-affecting.
   h.mix(options.ilp.threads);
-  h.mix(options.ilp.deterministic);
   // Basis representation and pricing rule prove the same optimum but may
   // tie-break to a different optimal placement, like the thread settings.
   h.mix(static_cast<int>(options.ilp.lp.basis));

@@ -7,6 +7,7 @@
 
 #include "obs/trace.hpp"
 #include "sched/list_scheduler.hpp"
+#include "svc/task_group.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -249,14 +250,6 @@ JobResult BatchService::run_job(JobSpec& spec, Clock::time_point enqueued) {
     const CancelToken job_token = job_source.token();
     spec.options.cancel = job_token;
 
-    // Parallel MILP solves borrow their helper workers from this very pool
-    // (non-blocking submit; the job's own thread always participates as
-    // worker 0), so batch concurrency and in-solve parallelism share one
-    // worker budget instead of oversubscribing the machine.
-    if (spec.options.ilp.threads > 1 && !spec.options.ilp.deterministic) {
-      spec.options.ilp.pool = &pool_;
-    }
-
     // The healthy mapping: cached if available (reliability jobs reach here
     // with a hit — their analysis is never cached, but the synthesis is),
     // freshly solved otherwise.
@@ -292,10 +285,6 @@ JobResult BatchService::run_job(JobSpec& spec, Clock::time_point enqueued) {
       ropts.synthesis = spec.options;  // same mapper/limits for repair rounds
       ropts.policy_increments = spec.policy_increments;
       ropts.asap = spec.asap;
-      // Trial blocks must not land back on the service pool (this worker
-      // would wait on tasks queued behind itself — the race() deadlock);
-      // the estimator's self-managed threads are still allowed.
-      ropts.monte_carlo.pool = nullptr;
       ropts.monte_carlo.cancel = job_token;
       const Clock::time_point rel_started = Clock::now();
       out.report = std::make_shared<const rel::ReliabilityReport>(
@@ -362,10 +351,9 @@ synth::SynthesisResult BatchService::race(const JobSpec& spec,
   std::string best_name;
   std::string first_error;
 
-  // Arms run on dedicated threads, not on the service pool: a pooled job
-  // waiting for pooled arms would deadlock once jobs outnumber workers.
-  std::vector<std::thread> threads;
-  threads.reserve(arms.size());
+  // One executor task per arm; arms no helper has started run on this
+  // job's thread (after a winner, they stop at their first cancel check).
+  TaskGroup group;
   for (Arm& arm : arms) {
     arm.options.cancel = arm.source.token();
     // The mapper tokens must chain to the *arm* token (synthesize would
@@ -373,17 +361,9 @@ synth::SynthesisResult BatchService::race(const JobSpec& spec,
     arm.options.heuristic.cancel = arm.options.cancel;
     arm.options.ilp.cancel = arm.options.cancel;
     metrics_.race_arm_started();
-    // `trace` is read here, after race_span began, so arms parent to the
-    // race span and carry the job's trace id onto their own threads.
-    threads.emplace_back([this, &spec, &schedule, &arm, &arms, &mutex, &best, &best_name,
-                          &first_error, trace = obs::current_trace()] {
-      obs::TraceContextScope trace_scope(trace);
-      // Arm threads are fresh per race, so only name them while tracing:
-      // naming registers a per-thread trace buffer, and an idle service
-      // should not grow the registry per job.
-      if (obs::tracing_enabled()) {
-        obs::Tracer::instance().set_thread_name("race " + spec.name + " " + arm.name);
-      }
+    // The task carries the trace context of this point, after race_span
+    // began, so arms parent to the race span and carry the job's trace id.
+    group.run([this, &spec, &schedule, &arm, &arms, &mutex, &best, &best_name, &first_error] {
       obs::Span arm_span("svc", "arm " + arm.name);
       try {
         metrics_.mapper_invoked();
@@ -417,7 +397,7 @@ synth::SynthesisResult BatchService::race(const JobSpec& spec,
       }
     });
   }
-  for (std::thread& thread : threads) thread.join();
+  group.wait();
 
   if (best.has_value()) {
     *winner = best_name;

@@ -6,14 +6,18 @@
 //  * jobs (assay + scheduling spec + SynthesisOptions + optional deadline)
 //    are executed on a fixed-size thread pool with a bounded queue
 //    (thread_pool.hpp) — full queue either blocks the submitter or rejects
-//    the job, per configuration;
+//    the job, per configuration.  The job pool is where work is admitted;
+//    the parallelism inside a job (race arms, sweep attempts, MILP workers,
+//    Monte Carlo blocks) runs as task groups on the process-wide executor
+//    (task_group.hpp), whose caller-runs waits let a pooled job nest them
+//    without deadlock;
 //  * every job carries a cooperative CancelToken; the deadline arms it, and
 //    the token is polled deep inside the heuristic mapper, the MILP branch
 //    & bound and the chip-size sweep, so a 1 ms deadline aborts in
 //    milliseconds instead of after a full solve;
 //  * portfolio racing (optional): one job fans out into several heuristic
 //    arms with distinct seeds plus — for small instances — the exact ILP
-//    mapper, all racing on their own threads; the first acceptable result
+//    mapper, all racing as executor tasks; the first acceptable result
 //    cancels the rest.  This mirrors the paper's "ILP when tractable,
 //    heuristic otherwise" split without guessing tractability up front.
 //    Racing trades determinism for latency: which arm wins depends on
@@ -128,9 +132,8 @@ struct JobSpec {
   bool asap = false;
   synth::SynthesisOptions options;
   /// Reliability-engine options (kReliability jobs).  `synthesis`,
-  /// `policy_increments` and `asap` are overwritten from this spec, and the
-  /// Monte Carlo estimator never borrows the service pool (a pooled job
-  /// waiting on pooled trial blocks would deadlock, exactly like race()).
+  /// `policy_increments` and `asap` are overwritten from this spec; the
+  /// cancel token is the job's.
   rel::ReliabilityOptions reliability;
   /// Body of a kFleet job (required for that kind, ignored otherwise).
   /// kFleet jobs skip scheduling, the result cache and the mappers — the
@@ -141,8 +144,8 @@ struct JobSpec {
   /// Distributed trace context this job belongs to (W3C traceparent at the
   /// HTTP door, or minted there).  Invalid (all-zero) when the caller does
   /// not trace; the worker installs it as the ambient context for the job,
-  /// so every solver span — including race arms on their own threads —
-  /// carries the request's trace id.
+  /// so every solver span — including those of executor tasks, which carry
+  /// their caller's context — carries the request's trace id.
   obs::TraceContext trace;
 };
 

@@ -7,13 +7,14 @@
 
 namespace fsyn::svc {
 
-ThreadPool::ThreadPool(int workers, std::size_t queue_capacity, OverflowPolicy overflow)
+ThreadPool::ThreadPool(int workers, std::size_t queue_capacity, OverflowPolicy overflow,
+                       const std::string& name)
     : capacity_(queue_capacity), overflow_(overflow) {
   check_input(workers >= 1, "thread pool needs at least one worker");
   workers_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back([this, i] {
-      obs::Tracer::instance().set_thread_name("svc-worker-" + std::to_string(i));
+    workers_.emplace_back([this, i, track = name + "-" + std::to_string(i)] {
+      obs::Tracer::instance().set_thread_name(track);
       worker_loop();
     });
   }
@@ -30,19 +31,6 @@ bool ThreadPool::submit(std::function<void()> task) {
       not_full_.wait(lock, [this] { return stopping_ || queue_.size() < capacity_; });
     }
     if (stopping_) return false;
-    queue_.push_back(std::move(task));
-    max_depth_ = std::max(max_depth_, queue_.size());
-  }
-  not_empty_.notify_one();
-  return true;
-}
-
-bool ThreadPool::try_submit(std::function<void()> task) {
-  require(static_cast<bool>(task), "thread pool task must be callable");
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (stopping_) return false;
-    if (capacity_ > 0 && queue_.size() >= capacity_) return false;
     queue_.push_back(std::move(task));
     max_depth_ = std::max(max_depth_, queue_.size());
   }

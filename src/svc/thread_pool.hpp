@@ -6,6 +6,9 @@
 // the configured overflow policy either blocks the submitter (backpressure)
 // or rejects the task immediately — the service maps a rejection to a
 // `JobStatus::kRejected` result so callers see it as data, not an exception.
+// It is also the substrate of the process-wide executor (task_group.hpp),
+// whose helpers run the task groups of every parallel loop; this file is
+// the one place in the program that starts threads.
 //
 // Destruction drains the queue: already-accepted tasks still run, then the
 // workers join.  `submit` after `shutdown` is a rejection.
@@ -16,6 +19,7 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -29,9 +33,11 @@ enum class OverflowPolicy {
 
 class ThreadPool {
  public:
-  /// `workers` must be >= 1; `queue_capacity` 0 means unbounded.
+  /// `workers` must be >= 1; `queue_capacity` 0 means unbounded.  Worker i
+  /// names its trace track `<name>-<i>`.
   explicit ThreadPool(int workers, std::size_t queue_capacity = 0,
-                      OverflowPolicy overflow = OverflowPolicy::kBlock);
+                      OverflowPolicy overflow = OverflowPolicy::kBlock,
+                      const std::string& name = "svc-worker");
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -40,13 +46,6 @@ class ThreadPool {
   /// Enqueues a task.  Returns false when the task was rejected (kReject
   /// policy with a full queue, or the pool is shutting down).
   bool submit(std::function<void()> task);
-
-  /// Like `submit` but never blocks, regardless of the overflow policy:
-  /// a full queue or a stopping pool is an immediate rejection.  Safe to
-  /// call from a pool worker (a blocking submit from a worker could
-  /// deadlock a saturated pool); used by the parallel MILP search to
-  /// borrow helpers opportunistically.
-  bool try_submit(std::function<void()> task);
 
   /// Stops accepting tasks, runs everything already queued, joins workers.
   /// Idempotent; also called by the destructor.

@@ -175,8 +175,6 @@ std::optional<IlpMappingOutcome> map_ilp(const MappingProblem& problem,
   milp_options.max_nodes = options.max_nodes;
   milp_options.cancel = options.cancel;
   milp_options.threads = options.threads;
-  milp_options.deterministic = options.deterministic;
-  milp_options.pool = options.pool;
   milp_options.lp = options.lp;
   milp_options.cut_options = options.cuts;
   if (options.warm_start.has_value()) {

@@ -33,10 +33,6 @@ struct IlpMapperOptions {
   CancelToken cancel;
   /// Tree-search workers (ilp::MilpOptions::threads); 0 = one reproducible worker.
   int threads = 0;
-  /// Epoch-synchronized deterministic schedule (ilp::MilpOptions::deterministic).
-  bool deterministic = false;
-  /// Optional pool to borrow search workers from (ilp::MilpOptions::pool).
-  svc::ThreadPool* pool = nullptr;
   /// LP engine configuration (basis representation, pricing rule, tolerances)
   /// forwarded to every per-node relaxation solver.
   ilp::LpOptions lp;

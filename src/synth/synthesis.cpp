@@ -1,19 +1,16 @@
 #include "synth/synthesis.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
 #include <exception>
 #include <map>
 #include <mutex>
-#include <system_error>
-#include <thread>
 
 #include "obs/trace.hpp"
-#include "obs/trace_context.hpp"
 #include "sim/simulator.hpp"
+#include "svc/task_group.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 
@@ -165,74 +162,37 @@ std::optional<SynthesisResult> attempt_on_size(const assay::SequencingGraph& gra
   return result;
 }
 
-int hardware_threads() {
-  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-}
-
-/// Hardware threads one attempt occupies: an ILP attempt runs `ilp.threads`
-/// search workers (the attempt's own thread among them).
-int attempt_width(const SynthesisOptions& options) {
-  return options.mapper == MapperKind::kIlp ? std::max(1, options.ilp.threads) : 1;
-}
-
-/// Attempts one synthesize() call runs at once, counting its own thread: no
-/// more than the hardware threads hold, nor than one sweep can use.  1
-/// without a sweep: the serial loop, and no thread is started.
-int in_flight_bound(const SynthesisOptions& options, int sweep) {
-  if (sweep <= 0) return 1;
-  return std::clamp(hardware_threads() / attempt_width(options), 1, sweep + 1);
-}
-
-/// The hardware threads helper attempts may occupy, shared by every
-/// synthesize() call in the process (pooled service jobs, race arms): one
-/// fewer than the host has, since each caller always runs attempts too.  A
-/// call that finds no free share runs exactly the serial sweep.
-std::atomic<int>& free_helper_threads() {
-  static std::atomic<int> free{hardware_threads() - 1};
-  return free;
-}
-
-bool acquire_helper_threads(int count) {
-  std::atomic<int>& free = free_helper_threads();
-  int available = free.load(std::memory_order_relaxed);
-  while (available >= count) {
-    if (free.compare_exchange_weak(available, available - count, std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void release_helper_threads(int count) {
-  free_helper_threads().fetch_add(count, std::memory_order_relaxed);
-}
-
 /// The chip-size attempts of one synthesize() call.  The sweep asks for
 /// sizes with take() in the serial loop's order and gets each result, or
 /// its exception, exactly where the serial loop met it.  Sizes queued ahead
-/// with prefetch() run on helper threads, at most `bound` attempts at once
-/// counting the caller, which runs a queued size itself rather than wait
-/// for one.  Each attempt has its own cancel tokens, chained to the
-/// caller's (mapper tokens to the mapper ones, so explicit mapper tokens
-/// still win); a failed probe below the first size cancels the probes
-/// below it, which the serial loop never reaches.
+/// with prefetch() are taken in turn by up to `max_tasks` executor tasks,
+/// so at most `max_tasks` + 1 attempts run at once counting the caller,
+/// which runs a queued size itself rather than wait for one.  Each attempt
+/// has its own cancel tokens, chained to the caller's (mapper tokens to the
+/// mapper ones, so explicit mapper tokens still win); a failed probe below
+/// the first size cancels the probes below it, which the serial loop never
+/// reaches.
 class AttemptRunner {
  public:
   AttemptRunner(const assay::SequencingGraph& graph, const sched::Schedule& schedule,
-                const SynthesisOptions& options, int first_side, int bound)
+                const SynthesisOptions& options, int first_side, int max_tasks)
       : graph_(graph), schedule_(schedule), options_(options), first_side_(first_side),
-        bound_(bound), width_(attempt_width(options)), trace_(obs::current_trace()) {}
+        max_tasks_(max_tasks) {}
   ~AttemptRunner() { stop(); }
   AttemptRunner(const AttemptRunner&) = delete;
   AttemptRunner& operator=(const AttemptRunner&) = delete;
 
-  /// Queues `side` to run ahead on a helper.  No-op with a bound of 1.
+  /// Queues `side` to run ahead on an executor task.  No-op without tasks.
   void prefetch(int side) {
-    if (bound_ == 1) return;
+    if (max_tasks_ == 0) return;
     std::lock_guard<std::mutex> lock(mutex_);
     if (!slots_.try_emplace(side, options_).second) return;
     queue_.push_back(side);
-    spawn_helpers();
+    // Tasks not running an attempt are about to take a queued size.
+    if (tasks_ < max_tasks_ && static_cast<int>(queue_.size()) > tasks_ - busy_tasks_) {
+      ++tasks_;
+      group_.run([this] { drain(); });
+    }
   }
 
   /// The attempt on `side`: its result, or its exception rethrown.
@@ -245,7 +205,7 @@ class AttemptRunner {
       run(side, slot, lock);
     }
     while (slot.state != State::kDone) {
-      // A helper has `side`; run the next queued size meanwhile.
+      // A task has `side`; run the next queued size meanwhile.
       if (queue_.empty()) {
         done_.wait(lock);
         continue;
@@ -261,9 +221,9 @@ class AttemptRunner {
     return result;
   }
 
-  /// Drops the queued sizes, cancels the running ones and joins every
-  /// helper.  Attempts read the caller's graph, schedule and options, so
-  /// this runs before synthesize() returns or throws.
+  /// Drops the queued sizes, cancels the running ones and waits for every
+  /// task.  Attempts read the caller's graph, schedule and options, so this
+  /// runs before synthesize() returns or throws.
   void stop() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -272,8 +232,7 @@ class AttemptRunner {
         if (slot.state == State::kRunning) slot.cancel();
       }
     }
-    for (std::thread& thread : threads_) thread.join();
-    threads_.clear();
+    group_.wait();
   }
 
   /// Attempts started, and those of them that ended cancelled.
@@ -357,56 +316,34 @@ class AttemptRunner {
     done_.notify_all();
   }
 
-  /// Starts helpers for queued sizes while the bound and the process-wide
-  /// share allow.  Called with mutex_ held.
-  void spawn_helpers() {
-    // Helpers not running an attempt are about to take a queued size.
-    while (helpers_ < bound_ - 1 && static_cast<int>(queue_.size()) > helpers_ - busy_helpers_ &&
-           acquire_helper_threads(width_)) {
-      try {
-        threads_.emplace_back([this] { helper(); });
-      } catch (const std::system_error&) {
-        release_helper_threads(width_);  // no thread to be had: the caller runs the sizes
-        return;
-      }
-      ++helpers_;
-    }
-  }
-
-  void helper() {
-    // Attempt spans parent to the caller's synth/synthesize span and carry
-    // its trace id.
-    obs::TraceContextScope trace_scope(trace_);
-    if (obs::tracing_enabled()) obs::Tracer::instance().set_thread_name("synth attempt");
+  /// Body of an executor task: runs queued sizes until none is left.
+  void drain() {
     std::unique_lock<std::mutex> lock(mutex_);
     while (!queue_.empty()) {
       const int side = queue_.front();
       queue_.pop_front();
-      ++busy_helpers_;
+      ++busy_tasks_;
       run(side, slots_.at(side), lock);
-      --busy_helpers_;
+      --busy_tasks_;
     }
-    --helpers_;
-    release_helper_threads(width_);
+    --tasks_;
   }
 
   const assay::SequencingGraph& graph_;
   const sched::Schedule& schedule_;
   const SynthesisOptions& options_;
   const int first_side_;
-  const int bound_;
-  const int width_;
-  const obs::TraceContext trace_;
+  const int max_tasks_;
 
   mutable std::mutex mutex_;
   std::condition_variable done_;
   std::map<int, Slot> slots_;  ///< by side; erased once taken
   std::deque<int> queue_;      ///< prefetched sizes not yet started, in order
-  int helpers_ = 0;       ///< live helper threads
-  int busy_helpers_ = 0;  ///< ... of which running an attempt
+  int tasks_ = 0;       ///< submitted tasks that have not finished
+  int busy_tasks_ = 0;  ///< ... of which running an attempt
   int started_ = 0;
   int cancelled_ = 0;
-  std::vector<std::thread> threads_;  ///< touched by the calling thread only
+  svc::TaskGroup group_;  ///< last: its destructor waits for the tasks
 };
 
 }  // namespace
@@ -451,10 +388,11 @@ SynthesisResult synthesize(const assay::SequencingGraph& graph,
   };
 
   // An attempt is a deterministic function of its size, so each size is
-  // tried at most once, and sizes the sweep needs can run ahead of it.
-  // Every size up to first_side + sweep is needed whatever the outcome: it
-  // is at most the first feasible size or within `sweep` above it.
-  AttemptRunner runner(graph, schedule, options, first_side, in_flight_bound(options, sweep));
+  // tried at most once, and sizes the sweep needs can run ahead of it on
+  // `sweep` executor tasks (none without a sweep: the serial loop).  Every
+  // size up to first_side + sweep is needed whatever the outcome: it is at
+  // most the first feasible size or within `sweep` above it.
+  AttemptRunner runner(graph, schedule, options, first_side, std::max(sweep, 0));
   for (int side = first_side; side <= first_side + sweep; ++side) runner.prefetch(side);
 
   // Scan upward from the estimate until the first feasible size.

@@ -47,12 +47,13 @@ struct SynthesisOptions {
   /// implement more valves; the weight picks the knee of that trade-off.
   /// 0 disables the sweep and keeps the first success.
   ///
-  /// With a sweep, attempts run concurrently: up to min(hardware threads,
-  /// chip_sweep + 1) at once per call (an ILP attempt with `ilp.threads` >
-  /// 1 counts as that many), on the calling thread and on helper threads
-  /// from one process-wide share of hardware threads - 1.  Results are
-  /// consumed in the serial order above, so the chosen design is the same
-  /// as one thread would choose.  Without a sweep no thread is started.
+  /// With a sweep, attempts run concurrently: up to chip_sweep + 1 at once
+  /// per call, on the calling thread and as `chip_sweep` tasks on the
+  /// process-wide executor (svc/task_group.hpp), whose helpers every
+  /// concurrent call, and the ILP workers inside the attempts, share.
+  /// Results are consumed in the serial order above, so the chosen design
+  /// is the same as one thread would choose.  Without a sweep every
+  /// attempt runs on the calling thread.
   int chip_sweep = 3;
   double valve_weight = 0.5;
   /// Bound on Algorithm-1 L4-L9 iterations (storage-overlap forbidding).
@@ -114,8 +115,8 @@ struct SynthesisResult {
 
 /// Runs reliability-aware synthesis for a scheduled assay.
 /// Throws fsyn::Error when no feasible synthesis exists within the options'
-/// growth limits.  Thread-safe; concurrent calls share the sweep's helper
-/// threads.
+/// growth limits.  Thread-safe; concurrent calls share the executor's
+/// helpers.
 SynthesisResult synthesize(const assay::SequencingGraph& graph,
                            const sched::Schedule& schedule,
                            const SynthesisOptions& options = {});

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +22,8 @@
 #include "ilp/model.hpp"
 #include "ilp/simplex.hpp"
 #include "obs/trace.hpp"
+#include "svc/task_group.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace fsyn::ilp {
@@ -182,41 +185,31 @@ TEST_P(MilpFuzz, AllConfigurationsMatchEnumeration) {
                  threads == 1 ? "parallel-1/no-cuts"
                               : (threads == 2 ? "parallel-2/no-cuts" : "parallel-4/no-cuts"));
   }
-
-  MilpOptions lockstep = defaults;
-  lockstep.threads = 4;
-  lockstep.deterministic = true;
-  check_config(instance, best, lockstep, "deterministic-4");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MilpFuzz, ::testing::Range(0, 80));
 
-/// Epoch-schedule contract: same instance, same thread count -> the whole
-/// result is bit-identical, node counts and LP iterations included.  The
-/// default threads = 0 runs the same schedule with one worker.
+/// Serial-search contract: the default threads = 0 solve of the same
+/// instance is bit-identical across runs, node counts and LP iterations
+/// included.
 TEST(ParallelBranchAndBound, DeterministicModeIsBitIdentical) {
   for (int round = 0; round < 12; ++round) {
     const FuzzInstance instance = make_instance(0xDE7 + 131ULL * static_cast<std::uint64_t>(round));
-    for (const int threads : {0, 4}) {
-      MilpOptions options;
-      options.threads = threads;
-      options.deterministic = threads > 0;
-      const MilpResult first = solve_milp(instance.model, options);
-      const MilpResult second = solve_milp(instance.model, options);
-      const std::string where = "round " + std::to_string(round) + " threads " + std::to_string(threads);
-      ASSERT_EQ(first.status, second.status) << where;
-      EXPECT_EQ(first.nodes, second.nodes) << where;
-      EXPECT_EQ(first.lp_iterations, second.lp_iterations) << where;
-      EXPECT_EQ(first.objective, second.objective) << where;  // bit-equal doubles
-      EXPECT_EQ(first.best_bound, second.best_bound) << where;
-      EXPECT_EQ(first.values, second.values) << where;
-      ASSERT_EQ(first.worker_stats.size(), second.worker_stats.size()) << where;
-      for (std::size_t w = 0; w < first.worker_stats.size(); ++w) {
-        EXPECT_EQ(first.worker_stats[w].nodes, second.worker_stats[w].nodes)
-            << where << " worker " << w;
-        EXPECT_EQ(first.worker_stats[w].lp_iterations, second.worker_stats[w].lp_iterations)
-            << where << " worker " << w;
-      }
+    const MilpResult first = solve_milp(instance.model);
+    const MilpResult second = solve_milp(instance.model);
+    const std::string where = "round " + std::to_string(round);
+    ASSERT_EQ(first.status, second.status) << where;
+    EXPECT_EQ(first.nodes, second.nodes) << where;
+    EXPECT_EQ(first.lp_iterations, second.lp_iterations) << where;
+    EXPECT_EQ(first.objective, second.objective) << where;  // bit-equal doubles
+    EXPECT_EQ(first.best_bound, second.best_bound) << where;
+    EXPECT_EQ(first.values, second.values) << where;
+    ASSERT_EQ(first.worker_stats.size(), second.worker_stats.size()) << where;
+    for (std::size_t w = 0; w < first.worker_stats.size(); ++w) {
+      EXPECT_EQ(first.worker_stats[w].nodes, second.worker_stats[w].nodes)
+          << where << " worker " << w;
+      EXPECT_EQ(first.worker_stats[w].lp_iterations, second.worker_stats[w].lp_iterations)
+          << where << " worker " << w;
     }
   }
 }
@@ -270,60 +263,52 @@ TEST(ParallelBranchAndBound, TelemetryShape) {
   EXPECT_LE(p.parallel_efficiency, 1.0);
 }
 
-/// The epoch schedule (threads = 0, and deterministic) emits all three
-/// progress tracks, and its open-node samples count the open list.
+/// The serial search (threads = 0) emits all three progress tracks, and
+/// its open-node samples count the open list.
 TEST(ParallelBranchAndBound, EpochScheduleEmitsProgressTracks) {
   const FuzzInstance instance = searchable_instance();
   obs::Tracer& tracer = obs::Tracer::instance();
-  for (const int threads : {0, 4}) {
-    MilpOptions options;
-    options.threads = threads;
-    options.deterministic = threads > 0;
-    options.cut_options.enabled = false;
-    tracer.drain();
-    tracer.enable();
-    const MilpResult r = solve_milp(instance.model, options);
-    tracer.disable();
-    ASSERT_EQ(r.status, MilpStatus::kOptimal) << "threads " << threads;
-    bool incumbent = false, bound = false, open = false;
-    double max_open = 0.0;
-    for (const obs::TraceEvent& e : tracer.drain()) {
-      if (e.kind != obs::EventKind::kCounter) continue;
-      if (e.name.rfind("milp incumbent", 0) == 0) incumbent = true;
-      if (e.name.rfind("milp bound", 0) == 0) bound = true;
-      if (e.name.rfind("milp open_nodes", 0) == 0) {
-        open = true;
-        max_open = std::max(max_open, e.value);
-      }
+  MilpOptions options;
+  options.cut_options.enabled = false;
+  tracer.drain();
+  tracer.enable();
+  const MilpResult r = solve_milp(instance.model, options);
+  tracer.disable();
+  ASSERT_EQ(r.status, MilpStatus::kOptimal);
+  bool incumbent = false, bound = false, open = false;
+  double max_open = 0.0;
+  for (const obs::TraceEvent& e : tracer.drain()) {
+    if (e.kind != obs::EventKind::kCounter) continue;
+    if (e.name.rfind("milp incumbent", 0) == 0) incumbent = true;
+    if (e.name.rfind("milp bound", 0) == 0) bound = true;
+    if (e.name.rfind("milp open_nodes", 0) == 0) {
+      open = true;
+      max_open = std::max(max_open, e.value);
     }
-    EXPECT_TRUE(incumbent) << "threads " << threads;
-    EXPECT_TRUE(bound) << "threads " << threads;
-    EXPECT_TRUE(open) << "threads " << threads;
-    EXPECT_GT(max_open, 0.0) << "threads " << threads;
   }
+  EXPECT_TRUE(incumbent);
+  EXPECT_TRUE(bound);
+  EXPECT_TRUE(open);
+  EXPECT_GT(max_open, 0.0);
 }
 
-/// Mid-search cancellation: the token is honored promptly in both parallel
-/// modes and the best incumbent found so far is still reported.
+/// Mid-search cancellation: the token is honored promptly by the parallel
+/// search and the best incumbent found so far is still reported.
 TEST(ParallelBranchAndBound, CancellationStopsTheSearch) {
   // A big enough box that exhausting the tree without pruning would take a
   // while; cancellation must cut it short regardless.
   const FuzzInstance instance = make_instance(0xF002 + 977ULL * 3);
 
-  for (const bool deterministic : {false, true}) {
-    CancelSource source;
-    source.cancel();  // already cancelled before the solve starts
-    MilpOptions options;
-    options.threads = 4;
-    options.deterministic = deterministic;
-    options.cancel = source.token();
-    const MilpResult result = solve_milp(instance.model, options);
-    // No node was expanded: either the limit path reports the cut-short
-    // search, or presolve alone proved infeasibility before it started.
-    EXPECT_TRUE(result.status == MilpStatus::kLimit || result.status == MilpStatus::kInfeasible)
-        << (deterministic ? "deterministic" : "async");
-    EXPECT_NE(result.status, MilpStatus::kOptimal);
-  }
+  CancelSource cancelled;
+  cancelled.cancel();  // already cancelled before the solve starts
+  MilpOptions early;
+  early.threads = 4;
+  early.cancel = cancelled.token();
+  const MilpResult stopped = solve_milp(instance.model, early);
+  // No node was expanded: either the limit path reports the cut-short
+  // search, or presolve alone proved infeasibility before it started.
+  EXPECT_TRUE(stopped.status == MilpStatus::kLimit || stopped.status == MilpStatus::kInfeasible);
+  EXPECT_NE(stopped.status, MilpStatus::kOptimal);
 
   // A deadline that fires mid-search: the solve returns (promptly) with a
   // coherent status.
@@ -335,6 +320,44 @@ TEST(ParallelBranchAndBound, CancellationStopsTheSearch) {
   const MilpResult result = solve_milp(instance.model, options);
   EXPECT_TRUE(result.status == MilpStatus::kOptimal || result.status == MilpStatus::kFeasible ||
               result.status == MilpStatus::kLimit || result.status == MilpStatus::kInfeasible);
+}
+
+/// Parallel solves nested in executor tasks: twice as many 4-worker solves
+/// as the host has threads, each started from a task, all complete and
+/// prove the one-worker optimum (their helper workers run on the callers
+/// when the executor is saturated).
+TEST(ParallelBranchAndBound, NestedSolvesOnTheExecutorProveTheOptimum) {
+  const FuzzInstance instance = searchable_instance();
+  MilpOptions serial;
+  serial.cut_options.enabled = false;
+  const MilpResult expected = solve_milp(instance.model, serial);
+  ASSERT_EQ(expected.status, MilpStatus::kOptimal);
+
+  const int solves = 2 * std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  std::vector<MilpResult> results(static_cast<std::size_t>(solves));
+  svc::TaskGroup group;
+  for (int i = 0; i < solves; ++i) {
+    group.run([&, i] {
+      MilpOptions parallel = serial;
+      parallel.threads = 4;
+      results[static_cast<std::size_t>(i)] = solve_milp(instance.model, parallel);
+    });
+  }
+  group.wait();
+  for (const MilpResult& r : results) {
+    ASSERT_EQ(r.status, MilpStatus::kOptimal);
+    EXPECT_NEAR(r.objective, expected.objective, 1e-6);
+    EXPECT_EQ(r.threads, 4);
+  }
+}
+
+TEST(ParallelBranchAndBound, RejectsOutOfRangeWorkerCounts) {
+  const FuzzInstance instance = make_instance(0xDE7);
+  for (const int threads : {-1, kMaxMilpThreads + 1}) {
+    MilpOptions options;
+    options.threads = threads;
+    EXPECT_THROW(solve_milp(instance.model, options), Error) << threads;
+  }
 }
 
 /// Drives the persistent solver's warm path directly: every dual-simplex

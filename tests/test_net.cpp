@@ -405,6 +405,27 @@ TEST(Wire, ParsesFleetSpec) {
       Error);
 }
 
+TEST(Wire, RejectsOutOfRangeIlpSettings) {
+  const auto spec_with = [](const std::string& field) {
+    return "{\"assay\":\"pcr\",\"ilp\":true," + field + "}";
+  };
+  // Worker counts 0..64 and finite, non-negative time limits are accepted.
+  EXPECT_EQ(0, parse_wire_spec(spec_with("\"ilp_threads\":0")).spec.options.ilp.threads);
+  EXPECT_EQ(64, parse_wire_spec(spec_with("\"ilp_threads\":64")).spec.options.ilp.threads);
+  EXPECT_EQ(0.0, parse_wire_spec(spec_with("\"time_limit_seconds\":0"))
+                     .spec.options.ilp.time_limit_seconds);
+  EXPECT_EQ(2.5, parse_wire_spec(spec_with("\"time_limit_seconds\":2.5"))
+                     .spec.options.ilp.time_limit_seconds);
+  // Negative, above-64 and beyond-int worker counts are errors, not some
+  // other worker count.
+  EXPECT_THROW(parse_wire_spec(spec_with("\"ilp_threads\":-3")), Error);
+  EXPECT_THROW(parse_wire_spec(spec_with("\"ilp_threads\":65")), Error);
+  EXPECT_THROW(parse_wire_spec(spec_with("\"ilp_threads\":4294967297")), Error);
+  // A negative or infinite time limit is an error, not "no limit".
+  EXPECT_THROW(parse_wire_spec(spec_with("\"time_limit_seconds\":-1")), Error);
+  EXPECT_THROW(parse_wire_spec(spec_with("\"time_limit_seconds\":1e999")), Error);
+}
+
 TEST(Wire, RequiresExactlyOneSource) {
   EXPECT_THROW(parse_wire_spec("{\"kind\":\"synthesis\"}"), Error);
   EXPECT_THROW(parse_wire_spec("{\"assay\":\"pcr\",\"dsl\":\"assay x {}\"}"), Error);
@@ -711,6 +732,10 @@ TEST_F(ServerTest, MalformedRequestsNeverCrashTheServer) {
   EXPECT_EQ(400, client().post("/v1/jobs", "{\"asay\":\"pcr\"}").status);
   // Unknown benchmark -> 400.
   EXPECT_EQ(400, client().post("/v1/jobs", "{\"assay\":\"nope\"}").status);
+  // Out-of-range ILP settings -> 400.
+  EXPECT_EQ(400, client().post("/v1/jobs", "{\"assay\":\"pcr\",\"ilp_threads\":-3}").status);
+  EXPECT_EQ(400,
+            client().post("/v1/jobs", "{\"assay\":\"pcr\",\"time_limit_seconds\":-1}").status);
 
   // After all of that the server still works.
   EXPECT_EQ(200, client().get("/healthz").status);

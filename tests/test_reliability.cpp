@@ -12,7 +12,7 @@
 #include "rel/engine.hpp"
 #include "report/result_io.hpp"
 #include "sched/list_scheduler.hpp"
-#include "svc/thread_pool.hpp"
+#include "svc/task_group.hpp"
 
 namespace fsyn::rel {
 namespace {
@@ -60,32 +60,25 @@ TEST(MonteCarlo, BitIdenticalAcrossThreadCountsAndPools) {
 
   const LifetimeEstimate serial = estimate_lifetime(valves, options);
 
-  options.threads = 4;
-  const LifetimeEstimate threaded = estimate_lifetime(valves, options);
-
-  svc::ThreadPool pool(3);
-  options.threads = 1;
-  options.pool = &pool;
-  const LifetimeEstimate pooled = estimate_lifetime(valves, options);
-
   // Per-trial seeding + disjoint writes + trial-order reduction make the
   // estimate a pure function of (valves, trials, seed).
-  for (const LifetimeEstimate* other : {&threaded, &pooled}) {
-    EXPECT_EQ(serial.mttf_runs, other->mttf_runs);
-    EXPECT_EQ(serial.p10_runs, other->p10_runs);
-    EXPECT_EQ(serial.p50_runs, other->p50_runs);
-    EXPECT_EQ(serial.p90_runs, other->p90_runs);
-    EXPECT_EQ(serial.min_runs, other->min_runs);
-    EXPECT_EQ(serial.max_runs, other->max_runs);
-    ASSERT_EQ(serial.first_failures.size(), other->first_failures.size());
+  for (const int threads : {2, 4, 16}) {
+    options.threads = threads;
+    const LifetimeEstimate other = estimate_lifetime(valves, options);
+    EXPECT_EQ(serial.mttf_runs, other.mttf_runs) << threads;
+    EXPECT_EQ(serial.p10_runs, other.p10_runs) << threads;
+    EXPECT_EQ(serial.p50_runs, other.p50_runs) << threads;
+    EXPECT_EQ(serial.p90_runs, other.p90_runs) << threads;
+    EXPECT_EQ(serial.min_runs, other.min_runs) << threads;
+    EXPECT_EQ(serial.max_runs, other.max_runs) << threads;
+    ASSERT_EQ(serial.first_failures.size(), other.first_failures.size()) << threads;
     for (std::size_t i = 0; i < serial.first_failures.size(); ++i) {
-      EXPECT_EQ(serial.first_failures[i].valve_id, other->first_failures[i].valve_id);
-      EXPECT_EQ(serial.first_failures[i].count, other->first_failures[i].count);
+      EXPECT_EQ(serial.first_failures[i].valve_id, other.first_failures[i].valve_id);
+      EXPECT_EQ(serial.first_failures[i].count, other.first_failures[i].count);
     }
   }
 
   MonteCarloOptions reseeded = options;
-  reseeded.pool = nullptr;
   reseeded.seed = 7;
   EXPECT_NE(serial.mttf_runs, estimate_lifetime(valves, reseeded).mttf_runs);
 }
@@ -135,25 +128,25 @@ TEST(MonteCarlo, MidFlightCancellationStopsPooledRun) {
 }
 
 TEST(MonteCarloStress, ConcurrentEstimatesShareOnePool) {
-  // Several estimator calls racing on one pool (the TSan configuration):
-  // results must still be the serial ones.
-  svc::ThreadPool pool(4);
+  // Twice as many 4-task estimates as the host has threads, each started
+  // from an executor task, so their trial blocks nest on a saturated
+  // executor (the TSan configuration): every result is the serial one.
   MonteCarloOptions options;
   options.trials = 2000;
   options.block_size = 32;
   const LifetimeEstimate expected = estimate_lifetime(make_valves(), options);
 
-  std::vector<std::thread> callers;
-  std::vector<double> mttf(4, 0.0);
-  for (int i = 0; i < 4; ++i) {
-    callers.emplace_back([&, i] {
-      MonteCarloOptions pooled = options;
-      pooled.pool = &pool;
-      mttf[static_cast<std::size_t>(i)] =
-          estimate_lifetime(make_valves(), pooled).mttf_runs;
+  const int estimates = 2 * std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  std::vector<double> mttf(static_cast<std::size_t>(estimates), 0.0);
+  svc::TaskGroup group;
+  for (int i = 0; i < estimates; ++i) {
+    group.run([&, i] {
+      MonteCarloOptions nested = options;
+      nested.threads = 4;
+      mttf[static_cast<std::size_t>(i)] = estimate_lifetime(make_valves(), nested).mttf_runs;
     });
   }
-  for (std::thread& caller : callers) caller.join();
+  group.wait();
   for (const double value : mttf) EXPECT_EQ(value, expected.mttf_runs);
 }
 

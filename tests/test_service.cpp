@@ -1,10 +1,13 @@
 // Tests for the concurrent batch-synthesis service (src/svc/): thread pool
-// semantics, cooperative cancellation, the canonical-key LRU result cache,
-// portfolio racing, and parity between pooled and sequential synthesis.
+// and executor task-group semantics, cooperative cancellation, the
+// canonical-key LRU result cache, portfolio racing, and parity between
+// pooled and sequential synthesis.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -15,6 +18,7 @@
 #include "assay/parser.hpp"
 #include "sched/list_scheduler.hpp"
 #include "svc/service.hpp"
+#include "svc/task_group.hpp"
 #include "util/cancel.hpp"
 
 namespace fsyn {
@@ -71,6 +75,94 @@ TEST(ThreadPool, ShutdownDrainsQueuedTasks) {
     }
   }  // destructor = shutdown
   EXPECT_EQ(done.load(), 20);
+}
+
+// ---- executor task groups ----
+
+int hardware_threads() {
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
+
+TEST(TaskGroup, WaitRunsUnstartedTasksWhileHelpersAreBlocked) {
+  // One blocker per executor helper (hardware threads - 1) parks on a latch
+  // that only this thread releases, after wait() returned: the group below
+  // must complete on this thread alone.
+  const int helpers = hardware_threads() - 1;
+  std::latch parked(helpers);
+  std::latch release(1);
+  svc::TaskGroup blockers;
+  for (int i = 0; i < helpers; ++i) {
+    blockers.run([&] {
+      parked.count_down();
+      release.wait();
+    });
+  }
+  // Every helper holds a blocker once they have all started; a blocker this
+  // thread would run itself would never return, so wait for the helpers.
+  parked.wait();
+
+  std::atomic<int> done{0};
+  svc::TaskGroup group;
+  for (int i = 0; i < 8; ++i) group.run([&done] { done.fetch_add(1); });
+  group.wait();
+  EXPECT_EQ(done.load(), 8);
+
+  release.count_down();
+  blockers.wait();
+}
+
+/// Runs a group of `width` tasks, each of which runs the next level down,
+/// `depth` levels deep; returns the number of leaf tasks that ran.
+int nested(int depth, int width) {
+  if (depth == 0) return 1;
+  std::atomic<int> leaves{0};
+  svc::TaskGroup group;
+  for (int i = 0; i < width; ++i) {
+    group.run([&] { leaves.fetch_add(nested(depth - 1, width)); });
+  }
+  group.wait();
+  return leaves.load();
+}
+
+TEST(TaskGroup, GroupsNestedDeeperThanTheHelperCountComplete) {
+  // Every level waits on the next, so a join that blocked on tasks no
+  // helper had started would deadlock once the levels outnumber helpers.
+  const int depth = hardware_threads() + 2;
+  EXPECT_EQ(nested(depth, 2), 1 << depth);
+}
+
+TEST(TaskGroup, WaitRethrowsTheFirstException) {
+  std::atomic<int> ran{0};
+  svc::TaskGroup group;
+  for (int i = 0; i < 6; ++i) {
+    group.run([&ran, i] {
+      ran.fetch_add(1);
+      if (i == 3) throw std::runtime_error("task 3 failed");
+    });
+  }
+  try {
+    group.wait();
+    ADD_FAILURE() << "wait() did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "task 3 failed");
+  }
+  // The other tasks still ran: one failure does not cancel the group.
+  EXPECT_EQ(ran.load(), 6);
+}
+
+TEST(TaskGroup, TasksCarryTheCallersTraceContext) {
+  const obs::TraceContext context = obs::make_trace_context();
+  std::vector<obs::TraceContext> seen(4);
+  {
+    obs::TraceContextScope scope(context);
+    svc::TaskGroup group;
+    for (std::size_t i = 0; i < seen.size(); ++i) {
+      group.run([&seen, i] { seen[i] = obs::current_trace(); });
+    }
+    group.wait();
+  }
+  for (const obs::TraceContext& trace : seen) EXPECT_EQ(trace, context);
+  EXPECT_FALSE(obs::current_trace().valid());
 }
 
 // ---- cancellation primitives ----
@@ -390,6 +482,30 @@ TEST(BatchService, ReliabilityJobProducesReportAndReusesSynthesisCache) {
   EXPECT_EQ(metrics.reliability_jobs, 2);
   EXPECT_EQ(metrics.reliability_latency.count, 2u);
   EXPECT_EQ(metrics.cache.hits, 1);
+}
+
+TEST(BatchService, OneWorkerReliabilityJobRunsParallelTrialBlocks) {
+  // The job's trial blocks are executor tasks started from the service's
+  // only worker: they must neither deadlock it nor change the report.
+  svc::BatchService::Config config;
+  config.workers = 1;
+  config.cache_capacity = 0;
+  svc::BatchService service(config);
+
+  const auto report_at = [&](int threads) {
+    svc::JobSpec spec = small_job();
+    spec.kind = svc::JobKind::kReliability;
+    spec.reliability.monte_carlo.trials = 3000;
+    spec.reliability.monte_carlo.block_size = 64;
+    spec.reliability.monte_carlo.seed = 42;
+    spec.reliability.monte_carlo.threads = threads;
+    const svc::JobResult result = service.submit(std::move(spec)).get();
+    EXPECT_EQ(result.status, svc::JobStatus::kDone) << result.error;
+    return result.report != nullptr ? result.report->to_json() : std::string();
+  };
+  const std::string serial = report_at(1);
+  ASSERT_FALSE(serial.empty());
+  EXPECT_EQ(report_at(4), serial);
 }
 
 TEST(BatchService, SynthesisJobsCarryNoReport) {

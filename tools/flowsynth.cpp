@@ -16,10 +16,12 @@
 //   --grid N        force an N x N valve matrix (disables the size sweep)
 //   --seed S        heuristic mapper seed (default 2015)
 //   --ilp           use the exact ILP mapper (small assays only)
-//   --time-limit S  ILP branch & bound wall-clock limit in seconds
-//   --ilp-threads N MILP search workers: 0 (the default) runs one worker on
-//                   the calling thread with a reproducible schedule; N >= 1
-//                   runs N work-stealing workers
+//   --time-limit S  ILP branch & bound wall-clock limit in seconds (finite, >= 0;
+//                   0 = no limit)
+//   --ilp-threads N MILP search workers, 0..64: 0 (the default) runs one
+//                   worker on the calling thread with a reproducible search;
+//                   N >= 1 runs N work-stealing workers (the caller plus N - 1
+//                   tasks on the shared executor)
 //   --lp-cuts C     root cutting planes: on (Gomory + cover cuts tighten the
 //                   root relaxation, the default) or off (pure branch & bound)
 //   --json PATH     write the synthesis result as JSON
@@ -33,7 +35,8 @@
 //   --in PATH        reuse a mapping written by `synth --out` instead of
 //                    re-synthesizing (assay + scheduling spec come from it)
 //   --trials N       Monte Carlo chip lifetimes to sample (default 1000)
-//   --threads T      estimator worker threads (default 1; deterministic at any T)
+//   --threads T      Monte Carlo tasks on the shared executor (default 1 =
+//                    inline; the estimate is bit-identical at any T)
 //   --fault-plan S   inject faults "x,y[@run][:closed|:open];..." and re-synthesize
 //   --inject-top K   auto-derive a fault plan failing the K highest-wear valves
 //   --compare-static also estimate the traditional dedicated-device design
@@ -81,6 +84,7 @@
 //   flowsynth client cancel <id> | list | metrics | health
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <fstream>
 #include <iostream>
@@ -110,7 +114,6 @@
 #include "sim/control_program.hpp"
 #include "sim/simulator.hpp"
 #include "svc/service.hpp"
-#include "svc/thread_pool.hpp"
 #include "synth/synthesis.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -333,7 +336,13 @@ synth::SynthesisOptions synthesis_options(const CliOptions& cli) {
   options.heuristic.seed = cli.seed;
   if (cli.use_ilp) options.mapper = synth::MapperKind::kIlp;
   if (cli.time_limit_seconds.has_value()) {
+    if (!std::isfinite(*cli.time_limit_seconds) || *cli.time_limit_seconds < 0.0) {
+      usage("--time-limit must be a finite number of seconds >= 0");
+    }
     options.ilp.time_limit_seconds = *cli.time_limit_seconds;
+  }
+  if (cli.ilp_threads < 0 || cli.ilp_threads > ilp::kMaxMilpThreads) {
+    usage("--ilp-threads must be 0.." + std::to_string(ilp::kMaxMilpThreads));
   }
   options.ilp.threads = cli.ilp_threads;
   options.ilp.cuts.enabled = cli.lp_cuts;
@@ -451,13 +460,9 @@ int run_reliability(const CliOptions& cli) {
   options.policy_increments = policy;
   options.asap = asap;
 
-  // The estimator borrows a dedicated pool so trial blocks run concurrently;
-  // the report stays bit-identical at any thread count.
-  std::optional<svc::ThreadPool> pool;
-  if (cli.threads > 1) {
-    pool.emplace(cli.threads);
-    options.monte_carlo.pool = &*pool;
-  }
+  // Trial blocks run as executor tasks; the report stays bit-identical at
+  // any thread count.
+  options.monte_carlo.threads = cli.threads;
 
   const rel::ReliabilityReport report = rel::analyze(graph, schedule, healthy, options);
   const std::string json = report.to_json(cli.timing);
