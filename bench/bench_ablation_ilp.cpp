@@ -84,11 +84,10 @@ int main() {
     require(exact->max_pump_load <= heuristic->max_pump_load,
             "the exact solver must never lose to the heuristic");
 
-    const char* status = exact->status == ilp::MilpStatus::kOptimal ? "optimal" : "feasible";
     table.add_row({instance.label,
                    std::to_string(instance.grid) + "x" + std::to_string(instance.grid),
                    std::to_string(heuristic->max_pump_load),
-                   std::to_string(exact->max_pump_load), status,
+                   std::to_string(exact->max_pump_load), ilp::to_string(exact->status),
                    std::to_string(exact->nodes)});
   }
   std::cout << table.to_string();

@@ -163,17 +163,6 @@ Model time_indexed(int ops, int horizon, int capacity, std::uint64_t seed) {
   return m;
 }
 
-const char* status_name(MilpStatus status) {
-  switch (status) {
-    case MilpStatus::kOptimal: return "optimal";
-    case MilpStatus::kFeasible: return "feasible";
-    case MilpStatus::kInfeasible: return "infeasible";
-    case MilpStatus::kUnbounded: return "unbounded";
-    case MilpStatus::kLimit: return "limit";
-  }
-  return "?";
-}
-
 void run(const std::string& name, const Model& model, const MilpOptions& options,
          benchio::BenchWriter& writer) {
   const auto start = std::chrono::steady_clock::now();
@@ -191,7 +180,7 @@ void run(const std::string& name, const Model& model, const MilpOptions& options
       .add("vars", model.variable_count())
       .add("rows", model.constraint_count())
       .add("nnz", model.nonzero_count())
-      .add("status", status_name(result.status))
+      .add("status", to_string(result.status))
       .add("objective", result.objective)
       .add("nodes", static_cast<long long>(result.nodes))
       .add("lp_iterations", static_cast<long long>(result.lp_iterations))

@@ -215,10 +215,13 @@ Box root_box(const Model& model, const PresolveResult* reduced) {
 // cancellation).
 class BranchAndBound {
  public:
-  /// `root` is the bound box every node's branching decisions start from.
-  BranchAndBound(const Model& model, const MilpOptions& options, const Box& root)
+  /// `root` is the bound box every node's branching decisions start from;
+  /// `stop` fires at the solve's deadline or on the caller's cancel.
+  BranchAndBound(const Model& model, const MilpOptions& options, const Box& root,
+                 CancelToken stop)
       : model_(model),
         options_(options),
+        stop_token_(std::move(stop)),
         start_(Clock::now()),
         serial_(options.threads == 0),
         root_lower_(root.lower),
@@ -230,14 +233,13 @@ class BranchAndBound {
     workers_.reserve(static_cast<std::size_t>(threads_));
     for (int i = 0; i < threads_; ++i) {
       workers_.push_back(std::make_unique<Worker>(model_, options_.lp, i, root_lower_, root_upper_));
+      workers_.back()->solver.set_stop(stop_token_);
     }
     last_heartbeat_ = start_;
   }
 
   MilpResult run() {
     if (options_.initial_incumbent) {
-      require(model_.is_feasible(*options_.initial_incumbent, 1e-5),
-              "warm-start incumbent is not feasible");
       incumbent_values_ = *options_.initial_incumbent;
       incumbent_score_.store(min_score(model_.objective_value(*incumbent_values_)),
                              std::memory_order_relaxed);
@@ -321,13 +323,7 @@ class BranchAndBound {
   }
 
   bool limits_exceeded(std::int64_t processed) const {
-    if (processed >= options_.max_nodes) return true;
-    if (options_.time_limit_seconds > 0.0) {
-      const double elapsed = std::chrono::duration<double>(Clock::now() - start_).count();
-      if (elapsed > options_.time_limit_seconds) return true;
-    }
-    if (options_.cancel.valid() && options_.cancel.cancelled()) return true;
-    return false;
+    return processed >= options_.max_nodes || stop_token_.cancelled();
   }
 
   // ---- node expansion (shared by both schedules) ---------------------------
@@ -923,6 +919,7 @@ class BranchAndBound {
 
   const Model& model_;
   const MilpOptions& options_;
+  const CancelToken stop_token_;
   Clock::time_point start_;
   const bool serial_;  ///< one worker on the serial schedule (threads = 0)
   const std::vector<double> root_lower_, root_upper_;
@@ -961,7 +958,31 @@ class BranchAndBound {
   Clock::time_point last_heartbeat_{};
 };
 
-const char* status_name(MilpStatus status) {
+/// What the tree search returns when its root LP ends in `root`
+/// (kIterationLimit: cap, numerical give-up or stop; or kInfeasible)
+/// without an optimum: one node, and the initial incumbent, unproved after
+/// a give-up.  Its LP work is the caller's to add.
+MilpResult unsolved_root(const Model& model, const MilpOptions& options, LpStatus root) {
+  MilpResult result;
+  result.nodes = 1;
+  result.threads = std::max(options.threads, 1);
+  const bool limit = root == LpStatus::kIterationLimit;
+  const double no_bound = model.objective_sign() * -kInfinity;
+  if (options.initial_incumbent) {
+    result.values = *options.initial_incumbent;
+    result.objective = model.objective_value(result.values);
+    result.status = limit ? MilpStatus::kFeasible : MilpStatus::kOptimal;
+    result.best_bound = limit ? no_bound : result.objective;
+  } else {
+    result.status = limit ? MilpStatus::kLimit : MilpStatus::kInfeasible;
+    result.best_bound = no_bound;
+  }
+  return result;
+}
+
+}  // namespace
+
+const char* to_string(MilpStatus status) {
   switch (status) {
     case MilpStatus::kOptimal: return "optimal";
     case MilpStatus::kFeasible: return "feasible";
@@ -972,16 +993,25 @@ const char* status_name(MilpStatus status) {
   return "?";
 }
 
-}  // namespace
-
 MilpResult solve_milp(const Model& model, const MilpOptions& options) {
   check_input(options.threads >= 0 && options.threads <= kMaxMilpThreads,
               "MILP search workers must be 0.." + std::to_string(kMaxMilpThreads));
+  require(!options.initial_incumbent || model.is_feasible(*options.initial_incumbent, 1e-5),
+          "warm-start incumbent is not feasible");
   obs::Span span("ilp", "solve_milp");
   if (span.active()) {
     span.arg("vars", model.variable_count());
     span.arg("constraints", model.constraint_count());
   }
+  // One deadline for the whole solve, from here on, chained to the
+  // caller's cancel: the cut loop and the tree poll it between rounds and
+  // nodes, and every LP inside its simplex loops.
+  CancelSource limits(options.cancel);
+  if (options.time_limit_seconds > 0.0) {  // capped: the nanosecond count must not overflow
+    limits.set_deadline_after(std::chrono::duration_cast<std::chrono::nanoseconds>(
+        std::chrono::duration<double>(std::min(options.time_limit_seconds, 1e9))));
+  }
+  const CancelToken stop = limits.token();
   MilpResult result = [&] {
     // Root cutting-plane loop: tighten the relaxation once under the root
     // bound box, then run the tree search on the model extended by the
@@ -991,14 +1021,17 @@ MilpResult solve_milp(const Model& model, const MilpOptions& options) {
     // intact, so the root box still applies verbatim.
     auto search = [&](const PresolveResult* reduced) {
       const Box box = root_box(model, reduced);
-      auto run_tree = [&](const Model& m) { return BranchAndBound(m, options, box).run(); };
+      auto run_tree = [&](const Model& m) { return BranchAndBound(m, options, box, stop).run(); };
       if (!options.cut_options.enabled || !model.has_integer_variables()) {
         return run_tree(model);
       }
       RootCutOutcome rc = run_root_cut_loop(model, box.lower, box.upper, options.lp,
-                                            options.cut_options, options.cancel);
+                                            options.cut_options, stop);
       MilpResult r;
-      if (rc.cuts.empty()) {
+      if (rc.root_status == LpStatus::kIterationLimit ||
+          rc.root_status == LpStatus::kInfeasible) {
+        r = unsolved_root(model, options, rc.root_status);
+      } else if (rc.cuts.empty()) {
         r = run_tree(model);
       } else {
         Model extended = model;
@@ -1032,7 +1065,7 @@ MilpResult solve_milp(const Model& model, const MilpOptions& options) {
     return search(nullptr);
   }();
   if (span.active()) {
-    span.arg("status", status_name(result.status));
+    span.arg("status", to_string(result.status));
     span.arg("nodes", result.nodes);
     span.arg("lp_iterations", result.lp_iterations);
     if (result.cuts.applied > 0) span.arg("cuts", result.cuts.applied);

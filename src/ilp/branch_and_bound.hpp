@@ -43,6 +43,9 @@ enum class MilpStatus {
   kLimit        ///< limit hit before any incumbent was found
 };
 
+/// "optimal", "feasible", "infeasible", "unbounded" or "limit".
+const char* to_string(MilpStatus status);
+
 /// Order in which open branch-and-bound nodes are expanded.
 enum class NodeOrder {
   kBestFirst,   ///< smallest parent LP bound first (deeper/newer on ties)
@@ -77,8 +80,10 @@ struct SolveCounters {
   /// global averages.
   std::int64_t impact_branch_decisions = 0;
   std::int64_t pseudocost_branch_decisions = 0;
-  /// Workers the solve was given: 1 for `MilpOptions::threads = 0`; 0 when
-  /// presolve settled the model before the tree search started.
+  /// Workers the solve was given: 1 for `MilpOptions::threads = 0` (also
+  /// when the cut loop's root LP gave up and the tree was not run); 0 when
+  /// no search was needed: presolve settled the model, or the mapping ILP
+  /// proved its warm start at the load bound without a solve.
   int threads = 0;
   std::int64_t steals = 0;    ///< total cross-worker node steals
   double idle_seconds = 0.0;  ///< summed worker idle time
@@ -113,7 +118,8 @@ struct MilpResult : SolveCounters {
 
 struct MilpOptions {
   std::int64_t max_nodes = 2'000'000;
-  double time_limit_seconds = 0.0;  ///< 0 = unlimited
+  /// Deadline from `solve_milp` entry, polled inside every LP; 0 = unlimited.
+  double time_limit_seconds = 0.0;
   double integrality_tolerance = 1e-6;
   /// Stop when |incumbent - bound| <= gap (absolute, user sense).  The
   /// mapping objectives are integral, so 1 - 1e-6 proves optimality.
@@ -144,8 +150,9 @@ struct MilpOptions {
   CutOptions cut_options;
   /// Optional warm-start point; must be feasible for the model.
   std::optional<std::vector<double>> initial_incumbent;
-  /// Cooperative cancellation, polled once per node alongside the node and
-  /// wall-clock limits; the best incumbent found so far is still returned.
+  /// Cooperative cancellation, polled with the deadline between cut rounds,
+  /// between nodes and inside every LP; the best incumbent found so far is
+  /// still returned.
   CancelToken cancel;
 
   // ---- tree-search workers --------------------------------------------------

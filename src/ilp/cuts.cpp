@@ -416,7 +416,7 @@ std::vector<Cut> generate_cover_cuts(const Model& model, const std::vector<doubl
 RootCutOutcome run_root_cut_loop(const Model& model, const std::vector<double>& lower,
                                  const std::vector<double>& upper,
                                  const LpOptions& lp_options, const CutOptions& options,
-                                 const CancelToken& cancel) {
+                                 const CancelToken& stop) {
   RootCutOutcome out;
   if (!options.enabled || options.max_rounds <= 0 || options.max_cuts_per_round <= 0) {
     return out;
@@ -424,7 +424,9 @@ RootCutOutcome run_root_cut_loop(const Model& model, const std::vector<double>& 
   if (!model.has_integer_variables() || model.constraint_count() == 0) return out;
 
   LpSolver solver(model, lp_options);
+  solver.set_stop(stop);
   LpResult lp = solver.solve(lower, upper);
+  out.root_status = lp.status;
   if (lp.status != LpStatus::kOptimal) {
     out.lp = solver.stats();
     out.lp_iterations = out.lp.iterations;
@@ -437,7 +439,7 @@ RootCutOutcome run_root_cut_loop(const Model& model, const std::vector<double>& 
   CutPool pool(options);
   std::vector<Cut> applied;  // rows appended to the LP, in row order
   for (int round = 0; round < options.max_rounds; ++round) {
-    if (cancel.valid() && cancel.cancelled()) break;
+    if (stop.valid() && stop.cancelled()) break;
 
     std::vector<Cut> gomory =
         generate_gomory_cuts(model, solver, applied, lower, upper, options);

@@ -152,16 +152,21 @@ struct RootCutOutcome {
   std::int64_t lp_iterations = 0;   ///< simplex iterations spent in the loop
   double root_objective = 0.0;      ///< final root bound (user sense)
   bool root_infeasible = false;     ///< relaxation went infeasible under cuts
+  /// How the first, cut-free root LP ended (kOptimal also when the loop
+  /// did not run).  It is the tree's root LP: when it was not solved, the
+  /// tree would only solve it again and end the same way.
+  LpStatus root_status = LpStatus::kOptimal;
 };
 
 /// Runs the root separation loop: solve the relaxation under the root box,
 /// alternate (separate -> filter -> append -> reoptimize) for at most
 /// `options.max_rounds` rounds, and return the cuts still active at the end.
 /// Returns an empty outcome when cuts are disabled, the model has no integer
-/// variables, or the root relaxation is not optimal.
+/// variables, or the root relaxation is not optimal.  `stop` (the solve's
+/// deadline and cancel) is polled between rounds and inside every LP solve.
 RootCutOutcome run_root_cut_loop(const Model& model, const std::vector<double>& lower,
                                  const std::vector<double>& upper,
                                  const LpOptions& lp_options, const CutOptions& options,
-                                 const CancelToken& cancel);
+                                 const CancelToken& stop);
 
 }  // namespace fsyn::ilp

@@ -24,6 +24,9 @@ constexpr int kBlandThreshold = 64;
 /// Devex weights above this trigger a reference-framework restart (all
 /// weights back to 1); keeps the approximation from drifting unboundedly.
 constexpr double kDevexResetLimit = 1e7;
+/// Iterations between polls of the stop token (a few ms on the mapping
+/// models, a clock read each).
+constexpr std::int64_t kStopPollIterations = 32;
 
 }  // namespace
 
@@ -486,6 +489,12 @@ LpResult LpSolver::extract(std::int64_t iterations, bool warm) {
 
 // ------------------------------------------------------------ simplex loops
 
+bool LpSolver::out_of_iterations(std::int64_t iterations) {
+  if (iterations >= options_.max_iterations || stopped_) return true;
+  if (stop_.valid() && iterations % kStopPollIterations == 0) stopped_ = stop_.cancelled();
+  return stopped_;
+}
+
 /// Artificial-free Phase 1: minimize the total bound violation of the basic
 /// variables (composite cost: -1 below lower, +1 above upper), recomputed
 /// per iteration.  Violated basics may leave at the bound they reach.
@@ -498,7 +507,7 @@ LpStatus LpSolver::phase1(std::int64_t* iterations) {
   std::vector<double>& cb = work_rhs_;
 
   for (;;) {
-    if (*iterations >= options_.max_iterations) return LpStatus::kIterationLimit;
+    if (out_of_iterations(*iterations)) return LpStatus::kIterationLimit;
     double total_violation = 0.0;
     bool any_violated = false;
     for (int i = 0; i < m_; ++i) {
@@ -718,7 +727,7 @@ LpStatus LpSolver::primal_loop(std::int64_t* iterations) {
   std::vector<double>& w = work_col_;
 
   for (;;) {
-    if (*iterations >= options_.max_iterations) return LpStatus::kIterationLimit;
+    if (out_of_iterations(*iterations)) return LpStatus::kIterationLimit;
     const int entering = select_entering_primal(bland);
     if (entering == -1) return LpStatus::kOptimal;
     if (devex() && devex_w_[static_cast<std::size_t>(entering)] > kDevexResetLimit) {
@@ -843,7 +852,7 @@ LpStatus LpSolver::dual_loop(double cutoff, std::int64_t* iterations) {
   bool obj_exact = true;
 
   for (;;) {
-    if (*iterations >= options_.max_iterations) return LpStatus::kIterationLimit;
+    if (out_of_iterations(*iterations)) return LpStatus::kIterationLimit;
 
     // Leaving row: the most violated basic variable, scaled by the devex
     // row norms when enabled (violation^2 / gamma_i, approx. steepest edge).
@@ -1030,15 +1039,16 @@ LpResult LpSolver::resolve(const std::vector<double>& lower, const std::vector<d
 
   std::int64_t iterations = 0;
   const LpStatus dual = dual_loop(cutoff, &iterations);
-  if (dual == LpStatus::kIterationLimit) {
+  if (dual == LpStatus::kIterationLimit && !stopped_) {
     // The warm path stalled (degeneracy or drift); a cold run is always
     // available and correct.
     LpResult cold = cold_solve_current_bounds();
     cold.iterations += iterations;
     return cold;
   }
-  if (dual == LpStatus::kCutoff || dual == LpStatus::kInfeasible) {
-    // The basis stays dual feasible, so the next resolve can warm start.
+  if (dual != LpStatus::kOptimal) {
+    // Cutoff, infeasible or stopped: the basis stays dual feasible, so the
+    // next resolve can warm start.
     ++stats_.warm_solves;
     LpResult result;
     result.status = dual;

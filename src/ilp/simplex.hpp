@@ -29,6 +29,7 @@
 
 #include "ilp/lu.hpp"
 #include "ilp/model.hpp"
+#include "util/cancel.hpp"
 
 namespace fsyn::ilp {
 
@@ -183,6 +184,16 @@ class LpSolver {
   const LpSolverStats& stats() const { return stats_; }
   bool has_basis() const { return has_basis_; }
 
+  /// Interrupts solves once `stop` fires (a deadline or a cancel): every
+  /// simplex loop polls it every few dozen iterations, and an interrupted
+  /// solve ends with kIterationLimit, as at the cap, without the cold
+  /// fallback.  Not an LpOptions field: the options configure the engine
+  /// (and key the result cache); a stop belongs to one solve.
+  void set_stop(CancelToken stop) {
+    stop_ = std::move(stop);
+    stopped_ = false;
+  }
+
   // -- cut-generation support ----------------------------------------------
   // Cheap structural accessors the root cut loop needs to read the optimal
   // basis.  Columns in [structural_count(), structural_count()+row_count())
@@ -254,6 +265,9 @@ class LpSolver {
   LpStatus phase1(std::int64_t* iterations);
   LpStatus primal_loop(std::int64_t* iterations);
   LpStatus dual_loop(double cutoff, std::int64_t* iterations);
+  /// The loops' exit test: the iteration cap, or `stop_` has fired (polled
+  /// every kStopPollIterations iterations; sticky once seen).
+  bool out_of_iterations(std::int64_t iterations);
   int select_entering_primal(bool bland);
   LpResult cold_solve_current_bounds();
 
@@ -298,6 +312,8 @@ class LpSolver {
   std::vector<int> candidates_;
   std::vector<std::pair<double, int>> sweep_;  ///< pricing scratch
   LpSolverStats stats_;
+  CancelToken stop_;
+  bool stopped_ = false;  ///< `stop_` has fired
 };
 
 /// Solves the continuous relaxation of `model` (integrality dropped).

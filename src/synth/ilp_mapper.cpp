@@ -82,12 +82,18 @@ std::optional<IlpMappingOutcome> map_ilp(const MappingProblem& problem,
   }
 
   // ---- per-valve peristaltic load bound (Eq. 2 + 9), objective (10) ----
+  // Every mixer puts its p_i on each valve of its pump ring, so no placement
+  // has w < max_i p_i.  The bound stays out of the LP (a root LP with w held
+  // at it is far slower to settle); it proves a warm start that meets it
+  // and bounds a solve that ends unproved.
+  int load_bound = 0;
   const VarId w = model.add_continuous(0.0, ilp::kInfinity, "w");
   {
     Grid<std::vector<std::pair<VarId, int>>> contributions(chip.width(), chip.height());
     for (int i = 0; i < problem.task_count(); ++i) {
       const MappingTask& task = problem.task(i);
       if (task.pump_actuations == 0) continue;
+      load_bound = std::max(load_bound, task.pump_actuations);
       for (const Candidate& c : vars[static_cast<std::size_t>(i)].candidates) {
         for (const Point& cell : c.instance.pump_cells()) {
           contributions.at(cell).push_back({c.var, task.pump_actuations});
@@ -241,16 +247,28 @@ std::optional<IlpMappingOutcome> map_ilp(const MappingProblem& problem,
   }
   build_span.finish();
 
+  IlpMappingOutcome outcome;
+  if (options.warm_start.has_value() &&
+      problem.max_pump_load(*options.warm_start) == load_bound) {
+    // The warm start meets the load bound: it is optimal, with no search.
+    if (span.active()) span.arg("proved", "load_bound");
+    outcome.placement = *options.warm_start;
+    outcome.status = ilp::MilpStatus::kOptimal;
+    outcome.best_bound = load_bound;
+    outcome.max_pump_load = load_bound;
+    outcome.max_pump_load_setting2 = problem.max_pump_load_setting2(outcome.placement);
+    return outcome;
+  }
+
   const ilp::MilpResult result = ilp::solve_milp(model, milp_options);
   if (result.values.empty()) {
-    log_warn("ilp mapper: no incumbent (status ", static_cast<int>(result.status), ")");
+    log_warn("ilp mapper: no incumbent (status ", ilp::to_string(result.status), ")");
     return std::nullopt;
   }
 
-  IlpMappingOutcome outcome;
   static_cast<ilp::SolveCounters&>(outcome) = result;
   outcome.status = result.status;
-  outcome.best_bound = result.best_bound;
+  outcome.best_bound = std::max(result.best_bound, static_cast<double>(load_bound));
   outcome.placement.assign(static_cast<std::size_t>(problem.task_count()),
                            DeviceInstance{arch::DeviceType{2, 2}, Point{0, 0}});
   for (int i = 0; i < problem.task_count(); ++i) {
@@ -267,6 +285,7 @@ std::optional<IlpMappingOutcome> map_ilp(const MappingProblem& problem,
   }
   outcome.max_pump_load = problem.max_pump_load(outcome.placement);
   outcome.max_pump_load_setting2 = problem.max_pump_load_setting2(outcome.placement);
+  if (outcome.max_pump_load == load_bound) outcome.status = ilp::MilpStatus::kOptimal;
   return outcome;
 }
 

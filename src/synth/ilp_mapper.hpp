@@ -8,7 +8,9 @@
 //   big-M disjunctive non-overlap with c1..c4, sum = 3               (Eq. 3-8)
 //   storage-overlap relaxation binary c5, sum = 3 + c5               (Eq. 12)
 //   routing-convenience distance d between sequential devices        (Eq. 13-16)
-// The objective minimizes w (Eq. 10).
+// The objective minimizes w (Eq. 10).  No placement has w below the load
+// bound max_i p_i (each mixer pumps p_i on every valve of its ring): a warm
+// start that meets it is returned as optimal without a search.
 //
 // The free-space rule for in-situ storages is *not* in the model (the paper
 // also leaves it out for runtime, Algorithm 1 L6-L8): synthesis re-runs the
@@ -28,8 +30,8 @@ struct IlpMapperOptions {
   /// Optional warm start (e.g. the heuristic mapper's placement); must be
   /// feasible for the problem.
   std::optional<Placement> warm_start;
-  /// Cooperative cancellation, forwarded to the branch & bound (polled per
-  /// node alongside the node/time limits).
+  /// Cooperative cancellation, forwarded to the MILP solve (polled with its
+  /// deadline inside every LP and between nodes).
   CancelToken cancel;
   /// Tree-search workers (ilp::MilpOptions::threads); 0 = one reproducible worker.
   int threads = 0;
@@ -41,12 +43,13 @@ struct IlpMapperOptions {
 };
 
 /// The solve's counters (ilp::SolveCounters) plus the placement it chose.
+/// A warm start proved at the load bound has zero counters.
 struct IlpMappingOutcome : ilp::SolveCounters {
   Placement placement;
   int max_pump_load = 0;
   int max_pump_load_setting2 = 0;
   ilp::MilpStatus status = ilp::MilpStatus::kLimit;
-  double best_bound = 0.0;  ///< proven lower bound on w
+  double best_bound = 0.0;  ///< proven lower bound on w, never below max_i p_i
 };
 
 /// Builds and solves the mapping ILP.  Returns std::nullopt when the model

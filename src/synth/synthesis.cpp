@@ -50,6 +50,7 @@ struct MappingAttempt {
   std::int64_t effort = 0;
   int refinements = 0;
   ilp::SolveCounters milp;
+  std::optional<SynthesisResult::IlpVerdict> ilp;
 };
 
 std::optional<MappingAttempt> run_mapper(MappingProblem& problem,
@@ -59,7 +60,7 @@ std::optional<MappingAttempt> run_mapper(MappingProblem& problem,
     // no Algorithm-1 refinement loop is needed.
     const auto outcome = map_heuristic(problem, options.heuristic);
     if (!outcome.has_value()) return std::nullopt;
-    return MappingAttempt{outcome->placement, outcome->moves_tried, 0, {}};
+    return MappingAttempt{outcome->placement, outcome->moves_tried, 0, {}, std::nullopt};
   }
 
   // ILP mode: the model omits the free-space constraints for runtime (as in
@@ -81,6 +82,7 @@ std::optional<MappingAttempt> run_mapper(MappingProblem& problem,
       attempt.placement = outcome->placement;
       attempt.effort = attempt.milp.nodes;
       attempt.refinements = iteration;
+      attempt.ilp = SynthesisResult::IlpVerdict{outcome->status, outcome->best_bound};
       return attempt;
     }
   }
@@ -120,6 +122,9 @@ std::optional<SynthesisResult> attempt_on_size(const assay::SequencingGraph& gra
         map_span.arg("mapper", options.mapper == MapperKind::kIlp ? "ilp" : "heuristic");
       }
       attempt = run_mapper(problem, retry_options);
+      if (map_span.active() && attempt.has_value() && attempt->ilp.has_value()) {
+        map_span.arg("ilp_status", ilp::to_string(attempt->ilp->status));
+      }
     }
     if (!attempt.has_value()) {
       log_info("synthesis: mapping failed on ", side, "x", side);
@@ -143,6 +148,7 @@ std::optional<SynthesisResult> attempt_on_size(const assay::SequencingGraph& gra
   result.refinement_iterations = attempt->refinements;
   result.chip_growths = growth;
   result.milp = attempt->milp;
+  result.ilp = attempt->ilp;
 
   {
     obs::Span verify_span("sim", "verify");

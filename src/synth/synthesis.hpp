@@ -111,6 +111,14 @@ struct SynthesisResult {
   /// MILP solver counters (ILP mapper mode only; zeros for the heuristic),
   /// accumulated over the refinement iterations of the winning attempt.
   ilp::SolveCounters milp;
+
+  /// How the winning attempt's final ILP solve ended: proved optimal or
+  /// not, and the proven lower bound on the pump load.
+  struct IlpVerdict {
+    ilp::MilpStatus status = ilp::MilpStatus::kLimit;
+    double best_bound = 0.0;
+  };
+  std::optional<IlpVerdict> ilp;  ///< ILP mapper mode only
 };
 
 /// Runs reliability-aware synthesis for a scheduled assay.

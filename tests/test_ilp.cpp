@@ -337,6 +337,45 @@ TEST(Milp, NodeLimitReturnsBestFound) {
   if (!r.values.empty()) EXPECT_TRUE(m.is_feasible(r.values));
 }
 
+TEST(Milp, RootLpThatGivesUpIsSolvedOnce) {
+  // The root LP stops at its iteration cap.  With cuts on, the cut loop
+  // solves it first; the tree must not solve it a second time.
+  Model m;
+  const VarId w = m.add_continuous(0, kInfinity, "w");
+  std::vector<VarId> slot0;
+  LinearExpr load0, load1;
+  for (int i = 0; i < 3; ++i) {
+    const VarId a = m.add_binary();
+    const VarId b = m.add_binary();
+    m.add_constraint(1.0 * a + 1.0 * b, Relation::kEqual, 1.0);
+    load0.add_term(a, 40.0);
+    load1.add_term(b, 40.0);
+    slot0.push_back(a);
+  }
+  load0.add_term(w, -1.0);
+  load1.add_term(w, -1.0);
+  m.add_constraint(load0, Relation::kLessEqual, 0.0);
+  m.add_constraint(load1, Relation::kLessEqual, 0.0);
+  m.set_objective(1.0 * w, Sense::kMinimize);
+
+  std::vector<double> start(static_cast<std::size_t>(m.variable_count()), 0.0);
+  start[static_cast<std::size_t>(w.index)] = 120.0;
+  for (const VarId a : slot0) start[static_cast<std::size_t>(a.index)] = 1.0;
+  MilpOptions options;
+  options.lp.max_iterations = 1;
+  options.initial_incumbent = start;
+  const MilpResult with_cuts = solve_milp(m, options);
+  options.cut_options.enabled = false;
+  const MilpResult without_cuts = solve_milp(m, options);
+  EXPECT_EQ(with_cuts.status, MilpStatus::kFeasible);
+  EXPECT_EQ(with_cuts.status, without_cuts.status);
+  EXPECT_EQ(with_cuts.nodes, without_cuts.nodes);
+  EXPECT_EQ(with_cuts.lp_iterations, without_cuts.lp_iterations);
+  EXPECT_EQ(with_cuts.lp, without_cuts.lp);
+  EXPECT_EQ(with_cuts.values, start);
+  EXPECT_EQ(without_cuts.values, start);
+}
+
 // Brute-force reference: enumerate all binary assignments.
 double brute_force_best(const Model& m, int n_bin) {
   double best = -kInfinity;

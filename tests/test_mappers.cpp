@@ -7,6 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
+#include <memory>
+#include <optional>
+#include <thread>
 
 #include "assay/benchmarks.hpp"
 #include "sched/list_scheduler.hpp"
@@ -268,6 +272,157 @@ TEST(IlpMapper, MatchesHeuristicOnSmallChainWithinLimits) {
   ASSERT_TRUE(exact.has_value());
   EXPECT_EQ(exact->max_pump_load, kPumpActuationsPerMix);
   EXPECT_EQ(heuristic->max_pump_load, kPumpActuationsPerMix);
+}
+
+/// A mapping problem whose graph and schedule it owns (the problem points
+/// at both).
+struct OwnedProblem {
+  SequencingGraph graph;
+  sched::Schedule schedule;
+  std::optional<MappingProblem> problem;
+};
+
+std::unique_ptr<OwnedProblem> benchmark_problem(const char* assay, int increments, int grid) {
+  auto p = std::make_unique<OwnedProblem>();
+  p->graph = assay::make_benchmark(assay);
+  p->schedule = sched::schedule_with_policy(p->graph, sched::make_policy(p->graph, increments));
+  p->problem.emplace(
+      MappingProblem::build(p->graph, p->schedule, arch::Architecture(grid, grid)));
+  return p;
+}
+
+std::unique_ptr<OwnedProblem> fork_join_problem() {
+  auto p = std::make_unique<OwnedProblem>();
+  std::vector<OpId> in;
+  for (int i = 0; i < 4; ++i) {
+    in.push_back(p->graph.add_operation(input_op("i" + std::to_string(i))));
+  }
+  const OpId a = p->graph.add_operation(mix_op("a", {in[0], in[1]}, 6, 5));
+  const OpId b = p->graph.add_operation(mix_op("b", {in[2], in[3]}, 6, 8));
+  p->graph.add_operation(mix_op("c", {a, b}, 8, 6));
+  p->graph.validate();
+  p->schedule = sched::schedule_asap(p->graph);
+  p->problem.emplace(MappingProblem::build(p->graph, p->schedule, arch::Architecture(8, 8)));
+  return p;
+}
+
+TEST(IlpMapper, WarmStartAtTheLoadBoundIsProvedWithoutASearch) {
+  // Both warm starts sit at w = 40 = max_i p_i, which no placement beats.
+  std::vector<std::unique_ptr<OwnedProblem>> problems;
+  problems.push_back(fork_join_problem());
+  problems.push_back(benchmark_problem("pcr", 0, 10));
+  for (const auto& p : problems) {
+    SCOPED_TRACE(p->graph.name());
+    const auto warm = map_heuristic(*p->problem);
+    ASSERT_TRUE(warm.has_value());
+    ASSERT_EQ(warm->max_pump_load, kPumpActuationsPerMix);
+    IlpMapperOptions options;
+    options.warm_start = warm->placement;
+    options.time_limit_seconds = 2.0;
+    const auto outcome = map_ilp(*p->problem, options);
+    ASSERT_TRUE(outcome.has_value());
+    EXPECT_EQ(outcome->status, ilp::MilpStatus::kOptimal);
+    EXPECT_EQ(outcome->nodes, 0);
+    EXPECT_EQ(outcome->lp_iterations, 0);
+    EXPECT_EQ(outcome->best_bound, kPumpActuationsPerMix);
+    EXPECT_EQ(outcome->max_pump_load, kPumpActuationsPerMix);
+    EXPECT_TRUE(outcome->placement == warm->placement);
+  }
+}
+
+TEST(IlpMapper, UnprovedSolveReportsTheLoadBound) {
+  const auto p = benchmark_problem("pcr", 2, 8);
+  const auto warm = map_heuristic(*p->problem);
+  ASSERT_TRUE(warm.has_value());
+  ASSERT_EQ(warm->max_pump_load, 2 * kPumpActuationsPerMix);
+  IlpMapperOptions options;
+  options.warm_start = warm->placement;
+  options.time_limit_seconds = 1.0;
+  const auto outcome = map_ilp(*p->problem, options);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->status, ilp::MilpStatus::kFeasible);
+  EXPECT_GE(outcome->best_bound, kPumpActuationsPerMix);
+}
+
+TEST(IlpMapper, RootLpThatGivesUpIsSolvedOnce) {
+  // The root LP of this model gives up before its optimum.  The cut loop
+  // solves it first; the tree must not solve it again.
+  const auto p = benchmark_problem("pcr", 2, 8);
+  const auto warm = map_heuristic(*p->problem);
+  ASSERT_TRUE(warm.has_value());
+  IlpMapperOptions options;
+  options.warm_start = warm->placement;
+  options.time_limit_seconds = 60.0;
+  const auto with_cuts = map_ilp(*p->problem, options);
+  options.cuts.enabled = false;
+  const auto without_cuts = map_ilp(*p->problem, options);
+  ASSERT_TRUE(with_cuts.has_value());
+  ASSERT_TRUE(without_cuts.has_value());
+  EXPECT_EQ(with_cuts->status, ilp::MilpStatus::kFeasible);
+  EXPECT_EQ(with_cuts->status, without_cuts->status);
+  EXPECT_EQ(with_cuts->nodes, 1);
+  EXPECT_EQ(with_cuts->lp_iterations, without_cuts->lp_iterations);
+  EXPECT_EQ(with_cuts->lp, without_cuts->lp);
+  EXPECT_TRUE(with_cuts->placement == without_cuts->placement);
+  EXPECT_TRUE(with_cuts->placement == warm->placement);
+}
+
+TEST(IlpMapper, IncumbentAtTheLoadBoundIsOptimalAtTheNodeLimit) {
+  // Without a warm start the tree finds w = 40 within 20 nodes but needs
+  // more to close the gap; the load bound proves it.
+  const auto g = two_concurrent_mixes();
+  const auto schedule = sched::schedule_asap(g);
+  auto problem = MappingProblem::build(g, schedule, arch::Architecture(7, 7));
+  IlpMapperOptions options;
+  options.max_nodes = 20;
+  const auto outcome = map_ilp(problem, options);
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->nodes, 20);
+  EXPECT_EQ(outcome->max_pump_load, kPumpActuationsPerMix);
+  EXPECT_EQ(outcome->status, ilp::MilpStatus::kOptimal);
+  EXPECT_EQ(outcome->best_bound, kPumpActuationsPerMix);
+}
+
+// mixing_tree p1 on 10x10 has a warm start above the load bound and a
+// root LP that runs for seconds.
+TEST(IlpMapper, TimeLimitCoversTheRootLp) {
+  const auto p = benchmark_problem("mixing_tree", 1, 10);
+  const auto warm = map_heuristic(*p->problem);
+  ASSERT_TRUE(warm.has_value());
+  IlpMapperOptions options;
+  options.warm_start = warm->placement;
+  options.time_limit_seconds = 0.3;
+  const auto start = std::chrono::steady_clock::now();
+  const auto outcome = map_ilp(*p->problem, options);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->status, ilp::MilpStatus::kFeasible);
+  EXPECT_TRUE(outcome->placement == warm->placement);
+  EXPECT_LT(seconds, 1.0);
+}
+
+TEST(IlpMapper, CancelStopsTheRootLp) {
+  const auto p = benchmark_problem("mixing_tree", 1, 10);
+  const auto warm = map_heuristic(*p->problem);
+  ASSERT_TRUE(warm.has_value());
+  CancelSource source;
+  IlpMapperOptions options;
+  options.warm_start = warm->placement;
+  options.cancel = source.token();
+  const auto start = std::chrono::steady_clock::now();
+  std::thread canceller([&source] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    source.cancel();
+  });
+  const auto outcome = map_ilp(*p->problem, options);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  canceller.join();
+  ASSERT_TRUE(outcome.has_value());
+  EXPECT_EQ(outcome->status, ilp::MilpStatus::kFeasible);
+  EXPECT_TRUE(outcome->placement == warm->placement);
+  EXPECT_LT(seconds, 1.0);
 }
 
 TEST(IlpMapper, InfeasibleWhenChipCannotHoldConcurrentDevices) {

@@ -783,6 +783,8 @@ flowsynth_solver_steals_total 20
 }
 
 /// A two-mix assay the exact mapper closes quickly on a 6x6 or 7x7 chip.
+/// Without a warm start, so the solve runs a tree: a heuristic warm start
+/// meets the load bound and would be proved with zero counters.
 svc::JobSpec tiny_ilp_job(int grid) {
   svc::JobSpec spec;
   spec.graph = assay::parse_assay(R"(
@@ -799,6 +801,7 @@ mix    b volume 8 duration 6 from a i3
   spec.options.grid_size = grid;
   spec.options.max_chip_growth = 0;
   spec.options.ilp.time_limit_seconds = 60.0;
+  spec.options.warm_start_ilp = false;
   return spec;
 }
 

@@ -381,6 +381,15 @@ int run_synth(const CliOptions& cli) {
   std::cout << "transports:  " << result.routing.paths.size() << " paths, "
             << result.routing.total_cells << " cells\n";
   std::cout << "runtime:     " << format_fixed(result.runtime_seconds, 2) << " s\n";
+  if (result.ilp.has_value()) {
+    std::cout << "ilp:         ";
+    if (result.ilp->status == ilp::MilpStatus::kOptimal) {
+      std::cout << "optimal (bound " << result.ilp->best_bound << ")\n";
+    } else {
+      std::cout << "not proved (" << ilp::to_string(result.ilp->status) << "), bound "
+                << result.ilp->best_bound << '\n';
+    }
+  }
 
   auto problem = synth::MappingProblem::build(
       graph, schedule, arch::Architecture(result.chip_width, result.chip_height));
