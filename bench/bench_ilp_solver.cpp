@@ -235,9 +235,9 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--lp-cuts") == 0 && i + 1 < argc) {
       ++i;
       if (std::strcmp(argv[i], "on") == 0) {
-        options.cut_options.enabled = true;
+        options.cuts = true;
       } else if (std::strcmp(argv[i], "off") == 0) {
-        options.cut_options.enabled = false;
+        options.cuts = false;
       } else {
         std::cerr << "unknown --lp-cuts '" << argv[i] << "' (on|off)\n";
         return 2;
@@ -257,7 +257,7 @@ int main(int argc, char** argv) {
       .add("threads", options.threads)
       .add("basis", to_string(options.lp.basis))
       .add("pricing", to_string(options.lp.pricing))
-      .add("lp_cuts", options.cut_options.enabled ? "on" : "off");
+      .add("lp_cuts", options.cuts ? "on" : "off");
 
   run("knapsack_14", knapsack(14, 11), options, writer);
   run("knapsack_18", knapsack(18, 23), options, writer);

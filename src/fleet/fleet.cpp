@@ -13,6 +13,7 @@
 #include "rel/engine.hpp"
 #include "sched/list_scheduler.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace fsyn::fleet {
@@ -20,12 +21,6 @@ namespace fsyn::fleet {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string json_str(const std::string& text) {
-  std::string out;
-  obs::append_json_string(out, text);
-  return out;
-}
 
 }  // namespace
 
@@ -55,9 +50,7 @@ FleetReport run_fleet(const assay::SequencingGraph& graph, const FleetOptions& o
   const Clock::time_point started = Clock::now();
 
   const sched::Schedule schedule =
-      options.asap ? sched::schedule_asap(graph)
-                   : sched::schedule_with_policy(
-                         graph, sched::make_policy(graph, options.policy_increments));
+      sched::schedule_for(graph, options.asap, options.policy_increments);
 
   synth::SynthesisOptions base = options.synthesis;
   if (!base.cancel.valid()) base.cancel = options.cancel;
@@ -198,25 +191,10 @@ FleetReport run_fleet(const assay::SequencingGraph& graph, const FleetOptions& o
       spec.graph = graph;
       spec.policy_increments = options.policy_increments;
       spec.asap = options.asap;
-      spec.options = base;
-      spec.options.grid_size = healthy.chip_width;
-      spec.options.dead_valves = runtime.dead;
-      {
-        arch::Architecture matrix(healthy.chip_width, healthy.chip_height);
-        synth::MappingProblem probe =
-            synth::MappingProblem::build(graph, schedule, std::move(matrix));
-        probe.set_allow_storage_overlap(spec.options.allow_storage_overlap);
-        probe.set_routing_convenient(spec.options.routing_convenient);
-        probe.set_dead_valves(runtime.dead);
-        if (auto warm = rel::repair_placement(probe, runtime.previous)) {
-          if (spec.options.mapper == synth::MapperKind::kIlp) {
-            spec.options.ilp.warm_start = std::move(*warm);
-          } else {
-            spec.options.heuristic.warm_start = std::move(*warm);
-          }
-          ++report.repairs_warm_started;
-        }
-      }
+      rel::RepairSetup setup = rel::prepare_repair(graph, schedule, base, healthy.chip_width,
+                                                   runtime.dead, runtime.previous);
+      spec.options = std::move(setup.options);
+      if (setup.warm_started) ++report.repairs_warm_started;
       ++report.repairs_attempted;
       PendingRepair item;
       item.chip = c;
@@ -289,7 +267,7 @@ std::string FleetReport::to_json(bool include_timing) const {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "{\n";
   os << "  \"format\": \"flowsynth-fleet-v1\",\n";
-  os << "  \"assay\": " << json_str(assay) << ",\n";
+  os << "  \"assay\": " << json_quote(assay) << ",\n";
   os << "  \"policy_increments\": " << policy_increments << ",\n";
   os << "  \"asap\": " << (asap ? "true" : "false") << ",\n";
   os << "  \"chip\": {\"width\": " << chip_width << ", \"height\": " << chip_height << "},\n";

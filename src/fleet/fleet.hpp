@@ -6,7 +6,7 @@
 // (test_pattern.hpp).  Diagnosis (diagnosis.hpp) localizes stuck valves
 // from the responses alone — no oracle knowledge — and every diagnosed
 // chip goes through live degraded re-synthesis: a warm-started minimal
-// repair (rel::repair_placement) submitted as a background-priority
+// repair (rel::prepare_repair) submitted as a background-priority
 // synthesis job to a *private* svc::BatchService (submitting back into the
 // service executing the fleet job would deadlock).  Chips transition
 //

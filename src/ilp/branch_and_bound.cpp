@@ -24,6 +24,15 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// An LP value within this of an integer counts as integral.
+constexpr double kIntegralityTol = 1e-6;
+/// Observations in a direction before a variable's own branching
+/// statistics are trusted; the global averages stand in below that.
+constexpr std::int64_t kBranchReliability = 2;
+/// Weight of the impact term in the blended branching estimate (0 = pure
+/// per-unit pseudocosts, 1 = pure absolute impact).
+constexpr double kImpactWeight = 0.5;
+
 /// One branching decision: the bound box of `var` after the branch.  Nodes
 /// share their ancestors' decisions through an immutable linked chain, so a
 /// node costs O(1) memory instead of a full bound-box copy.
@@ -209,7 +218,7 @@ Box root_box(const Model& model, const PresolveResult* reduced) {
 // Serial (threads = 0).  One worker on the calling thread pops the best
 // open node, expands it and applies its side effects — incumbent, children
 // (which get their seq numbers here), pseudocost update — before the next
-// pop: a plain best-first (or depth-first) search in which every node
+// pop: a plain best-first search in which every node
 // branches on statistics that already include its own observation, so
 // reruns are bit-identical (unless cut short by the wall-clock limit or
 // cancellation).
@@ -353,7 +362,7 @@ class BranchAndBound {
       if (model_.variable(VarId{j}).type == VarType::kContinuous) continue;
       const double v = values[static_cast<std::size_t>(j)];
       const double frac = std::abs(v - std::round(v));
-      if (frac <= options_.integrality_tolerance) continue;
+      if (frac <= kIntegralityTol) continue;
       const double distance_to_half = std::abs(frac - 0.5);
       if (best == -1 || distance_to_half < best_distance_to_half) {
         best = j;
@@ -366,7 +375,7 @@ class BranchAndBound {
   /// Branching score over the fractional variables: the classic pseudocost
   /// product rule, blended with impact estimates (absolute objective
   /// degradation per branch).  A variable's own statistics are trusted only
-  /// after `branch_reliability` observations in that direction; the global
+  /// after `kBranchReliability` observations in that direction; the global
   /// averages stand in below the threshold, and until any observation
   /// exists at all the most-fractional variable is used.
   ///
@@ -382,9 +391,7 @@ class BranchAndBound {
     };
     const BranchStats all_down = fold(pc_total_down_, false, true);
     const BranchStats all_up = fold(pc_total_up_, true, true);
-    if (!options_.pseudocost_branching || all_down.count + all_up.count == 0) {
-      return most_fractional(values);
-    }
+    if (all_down.count + all_up.count == 0) return most_fractional(values);
     const double avg_down =
         all_down.count > 0 ? all_down.pc_sum / static_cast<double>(all_down.count) : 1.0;
     const double avg_up =
@@ -393,9 +400,6 @@ class BranchAndBound {
         all_down.count > 0 ? all_down.imp_sum / static_cast<double>(all_down.count) : 1.0;
     const double avg_imp_up =
         all_up.count > 0 ? all_up.imp_sum / static_cast<double>(all_up.count) : 1.0;
-    const std::int64_t reliability = std::max(options_.branch_reliability, 1);
-    const double iw =
-        options_.impact_branching ? std::clamp(options_.impact_weight, 0.0, 1.0) : 0.0;
     int best = -1;
     double best_score = -1.0;
     double best_distance_to_half = 1.0;
@@ -405,19 +409,20 @@ class BranchAndBound {
       const double v = values[static_cast<std::size_t>(j)];
       const double down_frac = v - std::floor(v);
       const double frac = std::min(down_frac, 1.0 - down_frac);
-      if (frac <= options_.integrality_tolerance) continue;
+      if (frac <= kIntegralityTol) continue;
       const std::size_t sj = static_cast<std::size_t>(j);
       const BranchStats down = fold(pc_down_[sj], false, j == own.var);
       const BranchStats up = fold(pc_up_[sj], true, j == own.var);
-      const bool down_reliable = down.count >= reliability;
-      const bool up_reliable = up.count >= reliability;
+      const bool down_reliable = down.count >= kBranchReliability;
+      const bool up_reliable = up.count >= kBranchReliability;
       const double pcd = down_reliable ? down.pc_sum / static_cast<double>(down.count) : avg_down;
       const double pcu = up_reliable ? up.pc_sum / static_cast<double>(up.count) : avg_up;
       const double impd =
           down_reliable ? down.imp_sum / static_cast<double>(down.count) : avg_imp_down;
       const double impu = up_reliable ? up.imp_sum / static_cast<double>(up.count) : avg_imp_up;
-      const double est_down = (1.0 - iw) * pcd * down_frac + iw * impd;
-      const double est_up = (1.0 - iw) * pcu * (1.0 - down_frac) + iw * impu;
+      const double est_down = (1.0 - kImpactWeight) * pcd * down_frac + kImpactWeight * impd;
+      const double est_up =
+          (1.0 - kImpactWeight) * pcu * (1.0 - down_frac) + kImpactWeight * impu;
       const double score = std::max(est_down, 1e-6) * std::max(est_up, 1e-6);
       const double distance_to_half = std::abs(frac - 0.5);
       if (score > best_score ||
@@ -429,7 +434,7 @@ class BranchAndBound {
       }
     }
     if (best != -1) {
-      if (iw > 0.0 && best_reliable) {
+      if (best_reliable) {
         ++impact_decisions_;
       } else {
         ++pseudocost_decisions_;
@@ -462,16 +467,16 @@ class BranchAndBound {
                      const std::vector<double>& values) {
     const std::size_t v = static_cast<std::size_t>(branch_var);
     const double value = values[v];
-    const double floor_v = std::floor(value + options_.integrality_tolerance);
+    const double floor_v = std::floor(value + kIntegralityTol);
 
     Node down;
     down.bound_score = out.node_score;
     down.depth = out.node.depth + 1;
     down.branch_var = branch_var;
-    down.branch_dist = std::max(value - floor_v, options_.integrality_tolerance);
+    down.branch_dist = std::max(value - floor_v, kIntegralityTol);
     down.branch_up = false;
     Node up = down;
-    up.branch_dist = std::max(floor_v + 1.0 - value, options_.integrality_tolerance);
+    up.branch_dist = std::max(floor_v + 1.0 - value, kIntegralityTol);
     up.branch_up = true;
 
     const double down_upper = std::min(w.cur_upper[v], floor_v);
@@ -692,9 +697,7 @@ class BranchAndBound {
       std::lock_guard<std::mutex> lk(pool_mutex_);
       for (Node& sibling : out.children) {
         global_.push_back(std::move(sibling));
-        if (options_.node_order == NodeOrder::kBestFirst) {
-          std::push_heap(global_.begin(), global_.end(), worse);
-        }
+        std::push_heap(global_.begin(), global_.end(), worse);
       }
     }
     {
@@ -716,9 +719,7 @@ class BranchAndBound {
     {
       std::lock_guard<std::mutex> lk(pool_mutex_);
       if (!global_.empty()) {
-        if (options_.node_order == NodeOrder::kBestFirst) {
-          std::pop_heap(global_.begin(), global_.end(), worse);
-        }
+        std::pop_heap(global_.begin(), global_.end(), worse);
         Node node = std::move(global_.back());
         global_.pop_back();
         return node;
@@ -768,9 +769,7 @@ class BranchAndBound {
       const double inc = incumbent_score_.load(std::memory_order_relaxed);
       std::optional<Node> node;
       while (!node.has_value() && !global_.empty()) {
-        if (options_.node_order == NodeOrder::kBestFirst) {
-          std::pop_heap(global_.begin(), global_.end(), worse);
-        }
+        std::pop_heap(global_.begin(), global_.end(), worse);
         Node top = std::move(global_.back());
         global_.pop_back();
         if (top.bound_score >= inc - options_.absolute_gap) {
@@ -803,9 +802,7 @@ class BranchAndBound {
           for (Node& child : out.children) {
             child.seq = seq_.fetch_add(1, std::memory_order_relaxed) + 1;
             global_.push_back(std::move(child));
-            if (options_.node_order == NodeOrder::kBestFirst) {
-              std::push_heap(global_.begin(), global_.end(), worse);
-            }
+            std::push_heap(global_.begin(), global_.end(), worse);
           }
           break;
       }
@@ -1022,11 +1019,9 @@ MilpResult solve_milp(const Model& model, const MilpOptions& options) {
     auto search = [&](const PresolveResult* reduced) {
       const Box box = root_box(model, reduced);
       auto run_tree = [&](const Model& m) { return BranchAndBound(m, options, box, stop).run(); };
-      if (!options.cut_options.enabled || !model.has_integer_variables()) {
-        return run_tree(model);
-      }
-      RootCutOutcome rc = run_root_cut_loop(model, box.lower, box.upper, options.lp,
-                                            options.cut_options, stop);
+      if (!options.cuts || !model.has_integer_variables()) return run_tree(model);
+      RootCutOutcome rc =
+          run_root_cut_loop(model, box.lower, box.upper, options.lp, CutOptions{}, stop);
       MilpResult r;
       if (rc.root_status == LpStatus::kIterationLimit ||
           rc.root_status == LpStatus::kInfeasible) {

@@ -46,12 +46,6 @@ enum class MilpStatus {
 /// "optimal", "feasible", "infeasible", "unbounded" or "limit".
 const char* to_string(MilpStatus status);
 
-/// Order in which open branch-and-bound nodes are expanded.
-enum class NodeOrder {
-  kBestFirst,   ///< smallest parent LP bound first (deeper/newer on ties)
-  kDepthFirst,  ///< classic diving: newest node first
-};
-
 /// Per-worker counters of one tree search.
 struct MilpWorkerStats {
   std::int64_t nodes = 0;   ///< LP relaxations this worker solved
@@ -120,7 +114,6 @@ struct MilpOptions {
   std::int64_t max_nodes = 2'000'000;
   /// Deadline from `solve_milp` entry, polled inside every LP; 0 = unlimited.
   double time_limit_seconds = 0.0;
-  double integrality_tolerance = 1e-6;
   /// Stop when |incumbent - bound| <= gap (absolute, user sense).  The
   /// mapping objectives are integral, so 1 - 1e-6 proves optimality.
   double absolute_gap = 1.0 - 1e-6;
@@ -131,23 +124,11 @@ struct MilpOptions {
   /// instead of a cold Phase 1 + Phase 2 run.  Off is a debugging aid; the
   /// two paths must agree on every optimum.
   bool lp_warm_start = true;
-  NodeOrder node_order = NodeOrder::kBestFirst;
-  /// Branch on pseudocost product scores (observed bound gain per unit of
-  /// fractionality); falls back to most-fractional until data exists.
-  bool pseudocost_branching = true;
-  /// Blend impact estimates (absolute objective degradation per bound
-  /// change) into the pseudocost score; per-variable signals are trusted
-  /// only after `branch_reliability` observations in a direction, global
-  /// averages fill in before that.
-  bool impact_branching = true;
-  int branch_reliability = 2;
-  /// Weight of the impact term in the blended estimate (0 = pure per-unit
-  /// pseudocosts, 1 = pure absolute impact).
-  double impact_weight = 0.5;
-  /// Root cutting-plane loop (cuts.hpp): tighten the relaxation before the
-  /// tree search starts.  Off must give identical objectives, just more
-  /// nodes (the fuzz matrix and perf-smoke CI enforce that parity).
-  CutOptions cut_options;
+  /// Root cutting-plane loop (cuts.hpp, run with `CutOptions{}`): tighten
+  /// the relaxation before the tree search starts.  Off must give identical
+  /// objectives, just more nodes (the fuzz matrix and perf-smoke CI enforce
+  /// that parity).
+  bool cuts = true;
   /// Optional warm-start point; must be feasible for the model.
   std::optional<std::vector<double>> initial_incumbent;
   /// Cooperative cancellation, polled with the deadline between cut rounds,

@@ -25,6 +25,22 @@ constexpr double kTinyCoef = 1e-9;
 constexpr double kMaxDynamicRange = 1e8;
 /// Bound-fix / integrality classification tolerance.
 constexpr double kIntegralTol = 1e-9;
+/// Separation rounds at the root.
+constexpr int kMaxRounds = 8;
+/// Unapplied candidates the pool keeps between rounds.
+constexpr int kMaxPoolSize = 64;
+/// LP-point violation a cut needs to enter the pool.
+constexpr double kMinViolation = 1e-4;
+/// Cosine similarity above which a candidate counts as parallel to a cut
+/// already held or selected and is skipped (near-duplicate rows add no
+/// strength).
+constexpr double kMaxParallelism = 0.9;
+/// Rounds a cut may stay inactive (pool: unselected; applied: slack loose)
+/// before it ages out.
+constexpr int kMaxAge = 2;
+/// The loop stops once a round improves the root bound by no more than
+/// this (absolute, internal minimize sense).
+constexpr double kMinBoundImprovement = 1e-9;
 
 double fractional_part(double v) { return v - std::floor(v); }
 
@@ -117,11 +133,11 @@ double cut_parallelism(const Cut& a, const Cut& b) {
 
 bool CutPool::add(Cut cut, const std::vector<double>& point) {
   const double violation = cut_violation(cut, point);
-  if (!(violation >= options_.min_violation)) return false;
+  if (!(violation >= kMinViolation)) return false;
   for (const Cut& held : cuts_) {
-    if (cut_parallelism(cut, held) > options_.max_parallelism) return false;
+    if (cut_parallelism(cut, held) > kMaxParallelism) return false;
   }
-  if (static_cast<int>(cuts_.size()) >= options_.max_pool_size) {
+  if (static_cast<int>(cuts_.size()) >= kMaxPoolSize) {
     // Full: replace the weakest cut if the newcomer separates deeper.
     std::size_t weakest = 0;
     double weakest_violation = cut_violation(cuts_[0], point);
@@ -145,7 +161,7 @@ std::vector<Cut> CutPool::take_round(const std::vector<double>& point) {
   ranked.reserve(cuts_.size());
   for (std::size_t k = 0; k < cuts_.size(); ++k) {
     const double v = cut_violation(cuts_[k], point);
-    if (v >= options_.min_violation) ranked.emplace_back(-v, k);
+    if (v >= kMinViolation) ranked.emplace_back(-v, k);
   }
   std::sort(ranked.begin(), ranked.end());
 
@@ -155,7 +171,7 @@ std::vector<Cut> CutPool::take_round(const std::vector<double>& point) {
     if (static_cast<int>(selected.size()) >= options_.max_cuts_per_round) break;
     bool parallel = false;
     for (const Cut& s : selected) {
-      if (cut_parallelism(cuts_[k], s) > options_.max_parallelism) {
+      if (cut_parallelism(cuts_[k], s) > kMaxParallelism) {
         parallel = true;
         break;
       }
@@ -175,7 +191,7 @@ std::vector<Cut> CutPool::take_round(const std::vector<double>& point) {
 void CutPool::age_round() {
   std::size_t kept = 0;
   for (std::size_t k = 0; k < cuts_.size(); ++k) {
-    if (++cuts_[k].age >= options_.max_age) {
+    if (++cuts_[k].age >= kMaxAge) {
       ++aged_out_;
       continue;
     }
@@ -290,8 +306,7 @@ std::vector<Cut> generate_gomory_cuts(const Model& model, LpSolver& solver,
 
 std::vector<Cut> generate_cover_cuts(const Model& model, const std::vector<double>& lower,
                                      const std::vector<double>& upper,
-                                     const std::vector<double>& point,
-                                     const CutOptions& options) {
+                                     const std::vector<double>& point) {
   std::vector<Cut> cuts;
 
   // One separation attempt for a single <=-sense knapsack direction
@@ -358,7 +373,7 @@ std::vector<Cut> generate_cover_cuts(const Model& model, const std::vector<doubl
         cut.vals.push_back(1.0);
       }
     }
-    if (lp_lhs <= static_cast<double>(cover.size()) - 1.0 + options.min_violation) {
+    if (lp_lhs <= static_cast<double>(cover.size()) - 1.0 + kMinViolation) {
       return;  // not violated at the LP point: useless this round
     }
     cut.rhs = rhs;
@@ -418,9 +433,7 @@ RootCutOutcome run_root_cut_loop(const Model& model, const std::vector<double>& 
                                  const LpOptions& lp_options, const CutOptions& options,
                                  const CancelToken& stop) {
   RootCutOutcome out;
-  if (!options.enabled || options.max_rounds <= 0 || options.max_cuts_per_round <= 0) {
-    return out;
-  }
+  if (options.max_cuts_per_round <= 0) return out;
   if (!model.has_integer_variables() || model.constraint_count() == 0) return out;
 
   LpSolver solver(model, lp_options);
@@ -438,12 +451,12 @@ RootCutOutcome run_root_cut_loop(const Model& model, const std::vector<double>& 
 
   CutPool pool(options);
   std::vector<Cut> applied;  // rows appended to the LP, in row order
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     if (stop.valid() && stop.cancelled()) break;
 
     std::vector<Cut> gomory =
         generate_gomory_cuts(model, solver, applied, lower, upper, options);
-    std::vector<Cut> covers = generate_cover_cuts(model, lower, upper, lp.values, options);
+    std::vector<Cut> covers = generate_cover_cuts(model, lower, upper, lp.values);
     out.stats.gomory_generated += static_cast<std::int64_t>(gomory.size());
     out.stats.cover_generated += static_cast<std::int64_t>(covers.size());
     for (Cut& cut : gomory) pool.add(std::move(cut), lp.values);
@@ -484,14 +497,14 @@ RootCutOutcome run_root_cut_loop(const Model& model, const std::vector<double>& 
     pool.age_round();
 
     const double bound = sign * (lp.objective - model.objective_constant());
-    const bool improved = bound - prev_bound > options.min_bound_improvement;
+    const bool improved = bound - prev_bound > kMinBoundImprovement;
     prev_bound = bound;
     if (!improved) break;  // tailing off: extra rounds just bloat the LP
   }
 
   // The tree only carries cuts still doing work at the end of the loop.
   for (Cut& cut : applied) {
-    if (cut.age >= options.max_age) {
+    if (cut.age >= kMaxAge) {
       ++out.stats.aged_out;
       continue;
     }

@@ -16,9 +16,9 @@
 // survivors of each round are appended to the *warm* LP basis
 // (`LpSolver::append_rows` — new slacks enter the basis, one refactorization
 // per round) and the relaxation is reoptimized with the dual simplex.  Cuts
-// whose slack stays loose for `CutOptions::max_age` consecutive rounds are
-// dropped from the final retained set, so the branch-and-bound tree only
-// carries rows that were still doing work at the end of the loop.
+// whose slack stays loose for two consecutive rounds are dropped from the
+// final retained set, so the branch-and-bound tree only carries rows that
+// were still doing work at the end of the loop.
 //
 // Every cut is globally valid (satisfied by every integer-feasible point of
 // the model under the root bound box), which `tests/test_cuts.cpp` checks by
@@ -34,24 +34,11 @@
 
 namespace fsyn::ilp {
 
-/// Tuning knobs of the root cut loop.  The defaults are deliberately mild:
-/// a handful of rounds with a small per-round batch captures most of the
-/// tree-size win without inflating the LP.
+/// Parameter of the root cut loop.  The default is deliberately mild: a
+/// handful of rounds (cuts.cpp's kMaxRounds) with a small per-round batch
+/// captures most of the tree-size win without inflating the LP.
 struct CutOptions {
-  bool enabled = true;
-  int max_rounds = 8;           ///< separation rounds at the root
   int max_cuts_per_round = 16;  ///< rows appended per round
-  int max_pool_size = 64;       ///< unapplied candidates kept between rounds
-  double min_violation = 1e-4;  ///< LP-point violation required to enter the pool
-  /// Cosine similarity above which a candidate is considered parallel to an
-  /// already-selected cut and skipped (near-duplicate rows add no strength).
-  double max_parallelism = 0.9;
-  /// Rounds a cut may stay inactive (pool: unselected; applied: slack loose)
-  /// before it ages out.
-  int max_age = 2;
-  /// Loop stops early once a round improves the root bound by less than
-  /// this (absolute, internal minimize sense).
-  double min_bound_improvement = 1e-9;
 };
 
 /// Where a cut came from (telemetry and test labelling).
@@ -92,9 +79,9 @@ struct CutStats {
 /// `add` rejects rows that are insufficiently violated at the current LP
 /// point (or near-parallel to a cut already in the pool); `take_round`
 /// extracts the most violated, mutually non-parallel batch for appending;
-/// `age_round` ages everything left behind and drops cuts older than
-/// `max_age`.  Exposed (rather than buried in the loop) so the unit tests
-/// can exercise the aging policy directly.
+/// `age_round` ages everything left behind and drops cuts that reach age
+/// 2.  Exposed (rather than buried in the loop) so the unit tests can
+/// exercise the aging policy directly.
 class CutPool {
  public:
   explicit CutPool(const CutOptions& options) : options_(options) {}
@@ -140,8 +127,7 @@ std::vector<Cut> generate_gomory_cuts(const Model& model, LpSolver& solver,
 /// binary (under the root box) against the fractional point `point`.
 std::vector<Cut> generate_cover_cuts(const Model& model, const std::vector<double>& lower,
                                      const std::vector<double>& upper,
-                                     const std::vector<double>& point,
-                                     const CutOptions& options);
+                                     const std::vector<double>& point);
 
 /// Result of the root cut loop: the retained (still-active) cuts plus the
 /// loop's counters and the LP work it spent.
@@ -159,9 +145,9 @@ struct RootCutOutcome {
 };
 
 /// Runs the root separation loop: solve the relaxation under the root box,
-/// alternate (separate -> filter -> append -> reoptimize) for at most
-/// `options.max_rounds` rounds, and return the cuts still active at the end.
-/// Returns an empty outcome when cuts are disabled, the model has no integer
+/// alternate (separate -> filter -> append -> reoptimize) for at most 8
+/// rounds, and return the cuts still active at the end.  Returns an empty
+/// outcome when the batch size is not positive, the model has no integer
 /// variables, or the root relaxation is not optimal.  `stop` (the solve's
 /// deadline and cancel) is polled between rounds and inside every LP solve.
 RootCutOutcome run_root_cut_loop(const Model& model, const std::vector<double>& lower,

@@ -9,6 +9,12 @@ namespace fsyn::ilp {
 
 namespace {
 
+/// Propagation rounds before presolve stops short of a fixpoint.
+constexpr int kMaxRounds = 16;
+/// Bound-comparison tolerance: the rounding slack of integer bounds and the
+/// margin a tightening, or crossed bounds, must exceed.
+constexpr double kTol = 1e-9;
+
 /// One directed inequality sum(a_j x_j) <= b (equalities contribute two).
 struct Row {
   std::vector<LinearExpr::Term> terms;
@@ -24,7 +30,7 @@ double minimizing_bound(const LinearExpr::Term& term, const std::vector<double>&
 
 }  // namespace
 
-PresolveResult presolve(const Model& model, const PresolveOptions& options) {
+PresolveResult presolve(const Model& model) {
   PresolveResult result;
   result.lower.reserve(static_cast<std::size_t>(model.variable_count()));
   result.upper.reserve(static_cast<std::size_t>(model.variable_count()));
@@ -46,8 +52,7 @@ PresolveResult presolve(const Model& model, const PresolveOptions& options) {
     }
   }
 
-  const double tol = options.tolerance;
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     bool changed = false;
     for (const Row& row : rows) {
       // Row min activity in one pass: finite part plus a count of infinite
@@ -83,9 +88,9 @@ PresolveResult presolve(const Model& model, const PresolveOptions& options) {
         if (term.coeff > 0) {
           double implied = residual / term.coeff;
           if (model.variable(term.var).type != VarType::kContinuous) {
-            implied = std::floor(implied + tol);
+            implied = std::floor(implied + kTol);
           }
-          if (implied < result.upper[j] - tol) {
+          if (implied < result.upper[j] - kTol) {
             result.upper[j] = implied;
             ++result.tightenings;
             changed = true;
@@ -93,15 +98,15 @@ PresolveResult presolve(const Model& model, const PresolveOptions& options) {
         } else {
           double implied = residual / term.coeff;  // negative coeff: lower bound
           if (model.variable(term.var).type != VarType::kContinuous) {
-            implied = std::ceil(implied - tol);
+            implied = std::ceil(implied - kTol);
           }
-          if (implied > result.lower[j] + tol) {
+          if (implied > result.lower[j] + kTol) {
             result.lower[j] = implied;
             ++result.tightenings;
             changed = true;
           }
         }
-        if (result.lower[j] > result.upper[j] + tol) {
+        if (result.lower[j] > result.upper[j] + kTol) {
           result.status = PresolveStatus::kInfeasible;
           return result;
         }
@@ -112,7 +117,7 @@ PresolveResult presolve(const Model& model, const PresolveOptions& options) {
 
   for (int j = 0; j < model.variable_count(); ++j) {
     if (std::abs(result.lower[static_cast<std::size_t>(j)] -
-                 result.upper[static_cast<std::size_t>(j)]) <= tol) {
+                 result.upper[static_cast<std::size_t>(j)]) <= kTol) {
       ++result.fixed_variables;
     }
   }

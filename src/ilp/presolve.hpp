@@ -24,14 +24,9 @@ struct PresolveResult {
   int fixed_variables = 0;    ///< variables with lower == upper afterwards
 };
 
-struct PresolveOptions {
-  int max_rounds = 16;
-  double tolerance = 1e-9;
-};
-
-/// Propagates bounds through all constraints until a fixpoint or the round
-/// limit.  Never loses integer-feasible points: only implied bounds are
+/// Propagates bounds through all constraints until a fixpoint or 16
+/// rounds.  Never loses integer-feasible points: only implied bounds are
 /// applied.
-PresolveResult presolve(const Model& model, const PresolveOptions& options = {});
+PresolveResult presolve(const Model& model);
 
 }  // namespace fsyn::ilp

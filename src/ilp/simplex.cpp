@@ -27,6 +27,15 @@ constexpr double kDevexResetLimit = 1e7;
 /// Iterations between polls of the stop token (a few ms on the mapping
 /// models, a clock read each).
 constexpr std::int64_t kStopPollIterations = 32;
+/// Zero tolerance of the ratio tests, pricing and reduced-cost signs.
+constexpr double kZeroTol = 1e-9;
+/// Product-form basis updates between full refactorizations (numerical
+/// refresh of the factorization, basic values and reduced costs).
+constexpr int kRefactorInterval = 96;
+/// Sparse LU only: refactorize early once the eta file holds more than
+/// this multiple of the factorization's nonzeros (fill control between
+/// the periodic refactorizations).
+constexpr double kEtaGrowthLimit = 8.0;
 
 }  // namespace
 
@@ -242,12 +251,12 @@ bool LpSolver::apply_basis_change(int r, const std::vector<double>& w) {
 }
 
 bool LpSolver::needs_refactor() const {
-  if (updates_since_refactor_ >= options_.refactor_interval) return true;
+  if (updates_since_refactor_ >= kRefactorInterval) return true;
   // Sparse only: cut the eta file short once applying it costs more than a
   // fresh factorization would.
   return sparse_basis() &&
          static_cast<double>(lu_.eta_nnz()) >
-             options_.eta_growth_limit * static_cast<double>(std::max<std::int64_t>(lu_.lu_nnz(), m_));
+             kEtaGrowthLimit * static_cast<double>(std::max<std::int64_t>(lu_.lu_nnz(), m_));
 }
 
 bool LpSolver::factorize_sparse_basis() {
@@ -441,12 +450,11 @@ double LpSolver::internal_objective() const {
 }
 
 bool LpSolver::restore_dual_feasible_rests() {
-  const double ztol = options_.tolerance;
   for (int j = 0; j < n_; ++j) {
     if (basic_row_[static_cast<std::size_t>(j)] >= 0) continue;
     const double lo = lower_[static_cast<std::size_t>(j)];
     const double hi = upper_[static_cast<std::size_t>(j)];
-    if (hi - lo <= ztol) {  // fixed: rest value is unique, dual sign is free
+    if (hi - lo <= kZeroTol) {  // fixed: rest value is unique, dual sign is free
       at_upper_[static_cast<std::size_t>(j)] = 0;
       continue;
     }
@@ -499,7 +507,6 @@ bool LpSolver::out_of_iterations(std::int64_t iterations) {
 /// variables (composite cost: -1 below lower, +1 above upper), recomputed
 /// per iteration.  Violated basics may leave at the bound they reach.
 LpStatus LpSolver::phase1(std::int64_t* iterations) {
-  const double ztol = options_.tolerance;
   int degenerate_streak = 0;
   bool bland = false;
   std::vector<double>& w = work_col_;
@@ -532,19 +539,19 @@ LpStatus LpSolver::phase1(std::int64_t* iterations) {
     // Entering column: reduces the composite infeasibility.
     int entering = -1;
     double entering_dir = 0.0;
-    double best_violation = ztol;
+    double best_violation = kZeroTol;
     for (int j = 0; j < total_columns(); ++j) {
       if (basic_row_[static_cast<std::size_t>(j)] >= 0) continue;
       const double lo = lower_[static_cast<std::size_t>(j)];
       const double hi = upper_[static_cast<std::size_t>(j)];
-      if (hi - lo <= ztol) continue;  // fixed column can never improve
+      if (hi - lo <= kZeroTol) continue;  // fixed column can never improve
       const double dj = -column_dot(y, j);
       double violation = 0.0;
       double dir = 0.0;
-      if (!at_upper_[static_cast<std::size_t>(j)] && dj < -ztol) {
+      if (!at_upper_[static_cast<std::size_t>(j)] && dj < -kZeroTol) {
         violation = -dj;
         dir = 1.0;
-      } else if (at_upper_[static_cast<std::size_t>(j)] && dj > ztol) {
+      } else if (at_upper_[static_cast<std::size_t>(j)] && dj > kZeroTol) {
         violation = dj;
         dir = -1.0;
       } else {
@@ -578,7 +585,7 @@ LpStatus LpSolver::phase1(std::int64_t* iterations) {
     double best_mag = 0.0;
     for (int i = 0; i < m_; ++i) {
       const double rate = -w[static_cast<std::size_t>(i)] * entering_dir;
-      if (std::abs(rate) <= ztol) continue;
+      if (std::abs(rate) <= kZeroTol) continue;
       const int p = basis_[static_cast<std::size_t>(i)];
       const double lo = lower_[static_cast<std::size_t>(p)];
       const double hi = upper_[static_cast<std::size_t>(p)];
@@ -603,8 +610,8 @@ LpStatus LpSolver::phase1(std::int64_t* iterations) {
       if (!std::isfinite(limit)) continue;
       limit = std::max(limit, 0.0);
       const double mag = std::abs(w[static_cast<std::size_t>(i)]);
-      const bool strictly_better = limit < best_t - ztol;
-      const bool tie = limit < best_t + ztol;
+      const bool strictly_better = limit < best_t - kZeroTol;
+      const bool tie = limit < best_t + kZeroTol;
       if (strictly_better ||
           (tie && leaving_row >= 0 &&
            (bland ? p < basis_[static_cast<std::size_t>(leaving_row)] : mag > best_mag))) {
@@ -618,7 +625,7 @@ LpStatus LpSolver::phase1(std::int64_t* iterations) {
     // ray is a numerical artifact; give up rather than loop.
     if (!std::isfinite(best_t)) return LpStatus::kIterationLimit;
 
-    if (best_t < ztol) {
+    if (best_t < kZeroTol) {
       if (++degenerate_streak > kBlandThreshold) bland = true;
     } else {
       degenerate_streak = 0;
@@ -639,7 +646,7 @@ LpStatus LpSolver::phase1(std::int64_t* iterations) {
     ++stats_.primal_pivots;
     const double entering_value = rest_value(entering) + delta;
     const int leaving = basis_[static_cast<std::size_t>(leaving_row)];
-    require(std::abs(w[static_cast<std::size_t>(leaving_row)]) > ztol, "zero pivot in simplex");
+    require(std::abs(w[static_cast<std::size_t>(leaving_row)]) > kZeroTol, "zero pivot in simplex");
     at_upper_[static_cast<std::size_t>(leaving)] = leaving_at_upper;
     basis_[static_cast<std::size_t>(leaving_row)] = entering;
     basic_row_[static_cast<std::size_t>(entering)] = leaving_row;
@@ -653,16 +660,15 @@ LpStatus LpSolver::phase1(std::int64_t* iterations) {
 }
 
 int LpSolver::select_entering_primal(bool bland) {
-  const double ztol = options_.tolerance;
   const bool use_devex = devex();
   auto violation_of = [&](int j) -> double {
     if (basic_row_[static_cast<std::size_t>(j)] >= 0) return 0.0;
     const double lo = lower_[static_cast<std::size_t>(j)];
     const double hi = upper_[static_cast<std::size_t>(j)];
-    if (hi - lo <= ztol) return 0.0;  // fixed column can never improve
+    if (hi - lo <= kZeroTol) return 0.0;  // fixed column can never improve
     const double dj = d_[static_cast<std::size_t>(j)];
-    if (!at_upper_[static_cast<std::size_t>(j)] && dj < -ztol) return -dj;
-    if (at_upper_[static_cast<std::size_t>(j)] && dj > ztol) return dj;
+    if (!at_upper_[static_cast<std::size_t>(j)] && dj < -kZeroTol) return -dj;
+    if (at_upper_[static_cast<std::size_t>(j)] && dj > kZeroTol) return dj;
     return 0.0;
   };
   // Devex scores d_j^2 / w_j — the approximate steepest-edge merit — while
@@ -699,10 +705,9 @@ int LpSolver::select_entering_primal(bool bland) {
     if (v > 0.0) sweep_.push_back({v, j});
   }
   if (sweep_.empty()) return -1;
-  std::size_t keep = static_cast<std::size_t>(
-      options_.candidate_list_size > 0
-          ? options_.candidate_list_size
-          : std::clamp(total_columns() / 8, 8, 64));
+  // Partial pricing: keep a short list sized from the column count instead
+  // of pricing every column on every pivot.
+  const std::size_t keep = static_cast<std::size_t>(std::clamp(total_columns() / 8, 8, 64));
   if (sweep_.size() > keep) {
     std::nth_element(sweep_.begin(), sweep_.begin() + static_cast<std::ptrdiff_t>(keep) - 1,
                      sweep_.end(), std::greater<>());
@@ -721,7 +726,6 @@ int LpSolver::select_entering_primal(bool bland) {
 }
 
 LpStatus LpSolver::primal_loop(std::int64_t* iterations) {
-  const double ztol = options_.tolerance;
   int degenerate_streak = 0;
   bool bland = false;
   std::vector<double>& w = work_col_;
@@ -745,10 +749,10 @@ LpStatus LpSolver::primal_loop(std::int64_t* iterations) {
       const double g = w[static_cast<std::size_t>(i)] * dir;
       const int p = basis_[static_cast<std::size_t>(i)];
       double limit = kInfinity;
-      if (g > ztol) {
+      if (g > kZeroTol) {
         const double lo = lower_[static_cast<std::size_t>(p)];
         if (std::isfinite(lo)) limit = (xb_[static_cast<std::size_t>(i)] - lo) / g;
-      } else if (g < -ztol) {
+      } else if (g < -kZeroTol) {
         const double hi = upper_[static_cast<std::size_t>(p)];
         if (std::isfinite(hi)) limit = (hi - xb_[static_cast<std::size_t>(i)]) / (-g);
       } else {
@@ -757,8 +761,8 @@ LpStatus LpSolver::primal_loop(std::int64_t* iterations) {
       if (!std::isfinite(limit)) continue;
       limit = std::max(limit, 0.0);
       const double mag = std::abs(w[static_cast<std::size_t>(i)]);
-      const bool strictly_better = limit < best_t - ztol;
-      const bool tie = limit < best_t + ztol;
+      const bool strictly_better = limit < best_t - kZeroTol;
+      const bool tie = limit < best_t + kZeroTol;
       if (strictly_better ||
           (tie && leaving_row >= 0 &&
            (bland ? p < basis_[static_cast<std::size_t>(leaving_row)] : mag > best_mag))) {
@@ -769,7 +773,7 @@ LpStatus LpSolver::primal_loop(std::int64_t* iterations) {
     }
     if (!std::isfinite(best_t)) return LpStatus::kUnbounded;
 
-    if (best_t < ztol) {
+    if (best_t < kZeroTol) {
       if (++degenerate_streak > kBlandThreshold) bland = true;
     } else {
       degenerate_streak = 0;
@@ -791,7 +795,7 @@ LpStatus LpSolver::primal_loop(std::int64_t* iterations) {
     ++stats_.primal_pivots;
     const double entering_value = rest_value(entering) + delta;
     const double pivot = w[static_cast<std::size_t>(leaving_row)];
-    require(std::abs(pivot) > ztol, "zero pivot in simplex");
+    require(std::abs(pivot) > kZeroTol, "zero pivot in simplex");
     const int leaving = basis_[static_cast<std::size_t>(leaving_row)];
 
     // Incremental reduced-cost update: d_j -= theta_d * alpha_rj using the
@@ -838,7 +842,6 @@ LpStatus LpSolver::primal_loop(std::int64_t* iterations) {
 /// pivoted out one by one.  The running objective is a valid lower bound,
 /// so a finite `cutoff` allows early termination.
 LpStatus LpSolver::dual_loop(double cutoff, std::int64_t* iterations) {
-  const double ztol = options_.tolerance;
   int degenerate_streak = 0;
   bool bland = false;
   std::vector<double>& rho = work_row_;
@@ -904,13 +907,13 @@ LpStatus LpSolver::dual_loop(double cutoff, std::int64_t* iterations) {
     // neither enter nor need a d update.
     auto dual_ratio = [&](int j) -> double {
       const double a = s * work_alpha_[static_cast<std::size_t>(j)];
-      if (at_upper_[static_cast<std::size_t>(j)] ? a >= -ztol : a <= ztol) return kInfinity;
+      if (at_upper_[static_cast<std::size_t>(j)] ? a >= -kZeroTol : a <= kZeroTol) return kInfinity;
       return std::max(d_[static_cast<std::size_t>(j)] / a, 0.0);  // clamp drift
     };
     double min_ratio = kInfinity;
     for (const int j : alpha_touched_) {
       if (basic_row_[static_cast<std::size_t>(j)] >= 0) continue;
-      if (upper_[static_cast<std::size_t>(j)] - lower_[static_cast<std::size_t>(j)] <= ztol) {
+      if (upper_[static_cast<std::size_t>(j)] - lower_[static_cast<std::size_t>(j)] <= kZeroTol) {
         continue;  // fixed column can never enter
       }
       min_ratio = std::min(min_ratio, dual_ratio(j));
@@ -922,7 +925,8 @@ LpStatus LpSolver::dual_loop(double cutoff, std::int64_t* iterations) {
     const double window = min_ratio + (bland ? 0.0 : kDualSignTol);
     for (const int j : alpha_touched_) {
       if (basic_row_[static_cast<std::size_t>(j)] >= 0) continue;
-      if (upper_[static_cast<std::size_t>(j)] - lower_[static_cast<std::size_t>(j)] <= ztol) continue;
+      const std::size_t sj = static_cast<std::size_t>(j);
+      if (upper_[sj] - lower_[sj] <= kZeroTol) continue;
       if (dual_ratio(j) > window) continue;
       const double mag = std::abs(work_alpha_[static_cast<std::size_t>(j)]);
       if (q == -1 || (bland ? j < q : mag > best_mag)) {
@@ -976,7 +980,7 @@ LpStatus LpSolver::dual_loop(double cutoff, std::int64_t* iterations) {
     const double gain = theta_d * e;  // >= 0: the dual objective is monotone
     obj += gain;
     if (gain != 0.0) obj_exact = false;
-    if (gain < ztol) {
+    if (gain < kZeroTol) {
       if (++degenerate_streak > kBlandThreshold) bland = true;
     } else {
       degenerate_streak = 0;

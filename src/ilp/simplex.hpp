@@ -78,22 +78,11 @@ struct LpResult {
 
 struct LpOptions {
   int max_iterations = 50000;
-  double tolerance = 1e-9;
-  /// Product-form basis updates between full refactorizations (numerical
-  /// refresh of the factorization, basic values and reduced costs).
-  int refactor_interval = 96;
-  /// Entering candidates kept per pricing sweep; 0 picks a size from the
-  /// column count (partial pricing instead of full pricing every pivot).
-  int candidate_list_size = 0;
   /// Basis representation; the dense inverse is kept as an oracle for
   /// cross-checking the sparse LU path (fuzz harness runs both).
   BasisKind basis = BasisKind::kSparseLu;
   /// Pricing rule for primal Phase 2 and the dual leaving-row choice.
   PricingRule pricing = PricingRule::kDevex;
-  /// Sparse LU only: refactorize early once the eta file holds more than
-  /// this multiple of the factorization's nonzeros (fill control between
-  /// the periodic refactorizations).
-  double eta_growth_limit = 8.0;
 };
 
 /// Lifetime counters of one LpSolver (monotone; never reset).
@@ -187,8 +176,8 @@ class LpSolver {
   /// Interrupts solves once `stop` fires (a deadline or a cancel): every
   /// simplex loop polls it every few dozen iterations, and an interrupted
   /// solve ends with kIterationLimit, as at the cap, without the cold
-  /// fallback.  Not an LpOptions field: the options configure the engine
-  /// (and key the result cache); a stop belongs to one solve.
+  /// fallback.  Not an LpOptions field: the options configure the engine;
+  /// a stop belongs to one solve.
   void set_stop(CancelToken stop) {
     stop_ = std::move(stop);
     stopped_ = false;

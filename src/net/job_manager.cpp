@@ -125,7 +125,7 @@ void JobManager::recover() {
       WireSpec wire = parse_wire_spec(record.spec_json);
       wire.spec.priority = priority_from_string(record.priority);
       obs::parse_traceparent(record.traceparent, &wire.spec.trace);
-      enqueue(std::move(wire), record.id, /*journal_accept=*/false);
+      enqueue(std::move(wire), record.id);
     } catch (const Error& e) {
       // The spec no longer parses (version skew, corruption).  Journal a
       // terminal record so the next restart does not retry it forever.
@@ -153,11 +153,10 @@ std::uint64_t JobManager::submit(WireSpec wire) {
   journal_.append_accepted(id, svc::to_string(wire.spec.priority), wire.canonical,
                            wire.spec.trace.valid() ? wire.spec.trace.traceparent()
                                                    : std::string());
-  return enqueue(std::move(wire), id, /*journal_accept=*/true);
+  return enqueue(std::move(wire), id);
 }
 
-std::uint64_t JobManager::enqueue(WireSpec wire, std::uint64_t id, bool journal_accept) {
-  (void)journal_accept;  // the accept record is written by submit()/replay
+std::uint64_t JobManager::enqueue(WireSpec wire, std::uint64_t id) {
   auto cancel = std::make_shared<CancelSource>();
   {
     std::lock_guard<std::mutex> lock(records_mutex_);

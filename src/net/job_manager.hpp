@@ -162,10 +162,10 @@ class JobManager {
     std::uint64_t next_seq = 1;
   };
 
-  /// Creates the record and wires the spec's cancel token + observer.
-  /// `journal_accept` is false during replay (the record is already on
-  /// disk).  Caller must not hold records_mutex_.
-  std::uint64_t enqueue(WireSpec wire, std::uint64_t id, bool journal_accept);
+  /// Creates the record and wires the spec's cancel token + observer.  The
+  /// accept record is the caller's to journal (submit) or already on disk
+  /// (replay).  Caller must not hold records_mutex_.
+  std::uint64_t enqueue(WireSpec wire, std::uint64_t id);
   void on_phase(std::uint64_t id, svc::JobPhase phase, const char* stage,
                 const svc::JobResult* result);
   /// Appends an event; records_mutex_ must be held by the caller.

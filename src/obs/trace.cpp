@@ -7,6 +7,7 @@
 
 #include "obs/flight_recorder.hpp"
 #include "obs/trace_context.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace fsyn::obs {
@@ -17,28 +18,6 @@ std::atomic<bool> g_flight_enabled{false};
 }  // namespace detail
 
 // ---- JSON fragments --------------------------------------------------------
-
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;  // UTF-8 passes through untouched
-        }
-    }
-  }
-  out += '"';
-}
 
 void append_json_number(std::string& out, double value) {
   if (!std::isfinite(value)) {

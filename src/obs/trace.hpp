@@ -84,9 +84,8 @@ struct TraceEvent {
 };
 
 // ---- JSON-fragment helpers (shared with the exporter and Span::arg) --------
+// Strings are written by util/json.hpp's append_json_string.
 
-/// Appends `text` as a quoted, escaped JSON string.
-void append_json_string(std::string& out, std::string_view text);
 /// Appends a JSON number; integral values print without an exponent.
 void append_json_number(std::string& out, double value);
 /// Append one `"key":value` member (no surrounding braces, no comma logic —

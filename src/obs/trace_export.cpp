@@ -6,6 +6,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace fsyn::obs {

@@ -10,6 +10,7 @@
 #include "obs/trace.hpp"
 #include "sched/list_scheduler.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/logging.hpp"
 
 namespace fsyn::rel {
@@ -17,12 +18,6 @@ namespace fsyn::rel {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-std::string json_str(const std::string& text) {
-  std::string out;
-  obs::append_json_string(out, text);
-  return out;
-}
 
 /// Per-valve wear of the traditional dedicated-device design, for the
 /// static-vs-dynamic lifetime comparison.  Valve ids are synthetic (the
@@ -71,8 +66,8 @@ std::vector<sim::ValveWear> static_design_wear(const baseline::TraditionalDesign
 void emit_estimate(std::ostringstream& os, const LifetimeEstimate& estimate,
                    bool include_timing, const std::string& indent);
 
-}  // namespace
-
+/// Minimal repair of `previous` for the degraded `problem` (see
+/// prepare_repair); nullopt when a moved device finds no feasible spot.
 std::optional<synth::Placement> repair_placement(const synth::MappingProblem& problem,
                                                  const synth::Placement& previous) {
   if (static_cast<int>(previous.size()) != problem.task_count()) return std::nullopt;
@@ -99,6 +94,31 @@ std::optional<synth::Placement> repair_placement(const synth::MappingProblem& pr
     return std::nullopt;
   }
   return placement;
+}
+
+}  // namespace
+
+RepairSetup prepare_repair(const assay::SequencingGraph& graph, const sched::Schedule& schedule,
+                           const synth::SynthesisOptions& base, int side,
+                           const std::vector<Point>& dead, const synth::Placement& previous) {
+  RepairSetup setup{base, false};
+  synth::SynthesisOptions& options = setup.options;
+  options.grid_size = side;
+  options.dead_valves = dead;
+  synth::MappingProblem probe =
+      synth::MappingProblem::build(graph, schedule, arch::Architecture(side, side));
+  probe.set_allow_storage_overlap(options.allow_storage_overlap);
+  probe.set_routing_convenient(options.routing_convenient);
+  probe.set_dead_valves(dead);
+  if (auto warm = repair_placement(probe, previous)) {
+    if (options.mapper == synth::MapperKind::kIlp) {
+      options.ilp.warm_start = std::move(*warm);
+    } else {
+      options.heuristic.warm_start = std::move(*warm);
+    }
+    setup.warm_started = true;
+  }
+  return setup;
 }
 
 namespace {
@@ -193,33 +213,11 @@ ReliabilityReport analyze(const assay::SequencingGraph& graph, const sched::Sche
     RepairRound round;
     round.fault = event;
 
-    synth::SynthesisOptions degraded = options.synthesis;
-    // The chip is already manufactured: pin the healthy matrix (with dead
-    // valves synthesize tries that size only) and thread the accumulated
-    // dead set through MappingProblem into both mappers and the router.
-    degraded.grid_size = healthy.chip_width;
-    degraded.dead_valves = dead;
+    RepairSetup setup =
+        prepare_repair(graph, schedule, options.synthesis, healthy.chip_width, dead, previous);
+    synth::SynthesisOptions& degraded = setup.options;
     if (!degraded.cancel.valid()) degraded.cancel = options.monte_carlo.cancel;
-
-    // Warm start: minimally repair the previous placement for the degraded
-    // problem; when that succeeds the mapper starts from an incumbent that
-    // keeps most healthy positions.
-    {
-      arch::Architecture chip(healthy.chip_width, healthy.chip_height);
-      synth::MappingProblem probe =
-          synth::MappingProblem::build(graph, schedule, std::move(chip));
-      probe.set_allow_storage_overlap(degraded.allow_storage_overlap);
-      probe.set_routing_convenient(degraded.routing_convenient);
-      probe.set_dead_valves(dead);
-      if (auto warm = repair_placement(probe, previous)) {
-        if (degraded.mapper == synth::MapperKind::kIlp) {
-          degraded.ilp.warm_start = std::move(*warm);
-        } else {
-          degraded.heuristic.warm_start = std::move(*warm);
-        }
-        round.warm_started = true;
-      }
-    }
+    round.warm_started = setup.warm_started;
 
     obs::Span round_span("rel", "resynthesize");
     if (round_span.active()) {
@@ -271,7 +269,7 @@ std::string ReliabilityReport::to_json(bool include_timing) const {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "{\n";
   os << "  \"format\": \"flowsynth-reliability-v1\",\n";
-  os << "  \"assay\": " << json_str(assay) << ",\n";
+  os << "  \"assay\": " << json_quote(assay) << ",\n";
   os << "  \"policy_increments\": " << policy_increments << ",\n";
   os << "  \"asap\": " << (asap ? "true" : "false") << ",\n";
   os << "  \"chip\": {\"width\": " << chip_width << ", \"height\": " << chip_height << "},\n";
@@ -310,7 +308,7 @@ std::string ReliabilityReport::to_json(bool include_timing) const {
        << "], \"mode\": \"" << to_string(round.fault.mode) << "\", \"at_run\": "
        << round.fault.at_run << ", \"feasible\": " << (round.feasible ? "true" : "false")
        << ", \"warm_started\": " << (round.warm_started ? "true" : "false")
-       << ", \"verdict\": " << json_str(round.verdict) << ", \"vs1_max\": " << round.vs1_max
+       << ", \"verdict\": " << json_quote(round.verdict) << ", \"vs1_max\": " << round.vs1_max
        << ", \"valve_count\": " << round.valve_count;
     if (include_timing) {
       os << ", \"resynthesis_seconds\": " << round.resynthesis_seconds;

@@ -101,13 +101,25 @@ ReliabilityReport analyze(const assay::SequencingGraph& graph, const sched::Sche
                           const synth::SynthesisResult& healthy,
                           const ReliabilityOptions& options);
 
-/// Minimal repair of a placement for a degraded problem: devices whose
-/// footprints touch dead valves move to the first pairwise-feasible
-/// candidate, everything else keeps its position.  When one exists, the
-/// result is a feasible warm start preserving most of the previous
-/// solution — what makes repair rounds cheap for both mappers.  Used by
-/// the engine's fault-injection rounds and the fleet's live re-synthesis.
-std::optional<synth::Placement> repair_placement(const synth::MappingProblem& problem,
-                                                 const synth::Placement& previous);
+/// The options of one degraded re-synthesis round, and whether they carry
+/// a warm start.
+struct RepairSetup {
+  synth::SynthesisOptions options;
+  bool warm_started = false;
+};
+
+/// Sets up a degraded re-synthesis round from `base`.  The chip is already
+/// manufactured: the `side`×`side` matrix is pinned (with dead valves
+/// synthesize tries that size only) and the accumulated `dead` set is
+/// threaded through MappingProblem into both mappers and the router.  The
+/// mapper `base` selects is warm-started from `previous` minimally
+/// repaired: devices whose footprints touch dead valves move to the first
+/// pairwise-feasible candidate, everything else keeps its position.  When
+/// that repair exists it keeps most of the previous solution, which makes
+/// repair rounds cheap for both mappers.  Used by the engine's
+/// fault-injection rounds and the fleet's live re-synthesis.
+RepairSetup prepare_repair(const assay::SequencingGraph& graph, const sched::Schedule& schedule,
+                           const synth::SynthesisOptions& base, int side,
+                           const std::vector<Point>& dead, const synth::Placement& previous);
 
 }  // namespace fsyn::rel

@@ -4,35 +4,11 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace fsyn::report {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-namespace {
-
-void emit_grid(std::ostringstream& os, const Grid<int>& grid) {
+void emit_grid(std::ostream& os, const Grid<int>& grid) {
   os << '[';
   for (int y = 0; y < grid.height(); ++y) {
     if (y > 0) os << ',';
@@ -46,8 +22,6 @@ void emit_grid(std::ostringstream& os, const Grid<int>& grid) {
   os << ']';
 }
 
-}  // namespace
-
 std::string to_json(const synth::MappingProblem& problem,
                     const synth::SynthesisResult& result) {
   require(problem.chip().width() == result.chip_width &&
@@ -55,7 +29,7 @@ std::string to_json(const synth::MappingProblem& problem,
           "problem and result disagree on chip dimensions");
   std::ostringstream os;
   os << "{\n";
-  os << "  \"assay\": \"" << json_escape(problem.graph().name()) << "\",\n";
+  os << "  \"assay\": " << json_quote(problem.graph().name()) << ",\n";
   os << "  \"chip\": {\"width\": " << result.chip_width << ", \"height\": "
      << result.chip_height << "},\n";
 
@@ -64,7 +38,7 @@ std::string to_json(const synth::MappingProblem& problem,
   for (const auto& port : problem.chip().ports()) {
     if (!first) os << ", ";
     first = false;
-    os << "{\"name\": \"" << json_escape(port.name) << "\", \"x\": " << port.cell.x
+    os << "{\"name\": " << json_quote(port.name) << ", \"x\": " << port.cell.x
        << ", \"y\": " << port.cell.y << ", \"input\": " << (port.is_input ? "true" : "false")
        << '}';
   }
@@ -74,7 +48,7 @@ std::string to_json(const synth::MappingProblem& problem,
   for (int i = 0; i < problem.task_count(); ++i) {
     const auto& task = problem.task(i);
     const auto& device = result.placement[static_cast<std::size_t>(i)];
-    os << "    {\"op\": \"" << json_escape(task.name) << "\", \"kind\": \""
+    os << "    {\"op\": " << json_quote(task.name) << ", \"kind\": \""
        << (task.is_mix ? "mix" : "detect") << "\", \"x\": " << device.origin.x
        << ", \"y\": " << device.origin.y << ", \"width\": " << device.type.width
        << ", \"height\": " << device.type.height << ", \"storage_from\": "
@@ -86,7 +60,7 @@ std::string to_json(const synth::MappingProblem& problem,
   os << "  \"paths\": [\n";
   for (std::size_t p = 0; p < result.routing.paths.size(); ++p) {
     const auto& path = result.routing.paths[p];
-    os << "    {\"label\": \"" << json_escape(path.label) << "\", \"kind\": \""
+    os << "    {\"label\": " << json_quote(path.label) << ", \"kind\": \""
        << route::to_string(path.kind) << "\", \"time\": " << path.time << ", \"cells\": [";
     for (std::size_t c = 0; c < path.cells.size(); ++c) {
       if (c > 0) os << ',';

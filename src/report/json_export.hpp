@@ -8,6 +8,7 @@
 // third-party JSON dependency — with escaping for names from user assays.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 
 #include "sim/actuation.hpp"
@@ -24,8 +25,8 @@ std::string to_json(const synth::MappingProblem& problem,
 void write_json(const std::string& path, const synth::MappingProblem& problem,
                 const synth::SynthesisResult& result);
 
-/// Escapes a string for inclusion in a JSON document (quotes, backslashes,
-/// control characters).
-std::string json_escape(const std::string& text);
+/// Writes `grid` as a JSON array of rows, row y = 0 first (shared with
+/// result_io's `--out` document).
+void emit_grid(std::ostream& os, const Grid<int>& grid);
 
 }  // namespace fsyn::report

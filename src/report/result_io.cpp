@@ -16,20 +16,6 @@ namespace {
 
 constexpr const char* kFormat = "flowsynth-mapping-v1";
 
-void emit_grid(std::ostringstream& os, const Grid<int>& grid) {
-  os << '[';
-  for (int y = 0; y < grid.height(); ++y) {
-    if (y > 0) os << ',';
-    os << '[';
-    for (int x = 0; x < grid.width(); ++x) {
-      if (x > 0) os << ',';
-      os << grid.at(x, y);
-    }
-    os << ']';
-  }
-  os << ']';
-}
-
 Grid<int> read_grid(const JsonValue& rows, int width, int height) {
   check_input(static_cast<int>(rows.size()) == height, "grid row count mismatch");
   Grid<int> grid(width, height, 0);
@@ -95,7 +81,7 @@ std::string stored_result_to_json(const StoredResult& stored) {
   os << std::setprecision(std::numeric_limits<double>::max_digits10);
   os << "{\n";
   os << "  \"format\": \"" << kFormat << "\",\n";
-  os << "  \"assay\": \"" << json_escape(stored.assay) << "\",\n";
+  os << "  \"assay\": " << json_quote(stored.assay) << ",\n";
   os << "  \"policy_increments\": " << stored.policy_increments << ",\n";
   os << "  \"asap\": " << (stored.asap ? "true" : "false") << ",\n";
   os << "  \"seed\": " << stored.seed << ",\n";
@@ -113,14 +99,14 @@ std::string stored_result_to_json(const StoredResult& stored) {
 
   os << "  \"routing\": {\"success\": " << (r.routing.success ? "true" : "false")
      << ", \"total_cells\": " << r.routing.total_cells << ", \"rip_ups\": "
-     << r.routing.rip_ups << ", \"failure\": \"" << json_escape(r.routing.failure)
-     << "\", \"paths\": [\n";
+     << r.routing.rip_ups << ", \"failure\": " << json_quote(r.routing.failure)
+     << ", \"paths\": [\n";
   for (std::size_t p = 0; p < r.routing.paths.size(); ++p) {
     const route::RoutedPath& path = r.routing.paths[p];
     os << "    {\"kind\": \"" << route::to_string(path.kind) << "\", \"task\": " << path.task
        << ", \"source_task\": " << path.source_task << ", \"source_input\": "
-       << path.source_input.index << ", \"label\": \"" << json_escape(path.label)
-       << "\", \"time\": " << path.time << ", \"cells\": [";
+       << path.source_input.index << ", \"label\": " << json_quote(path.label)
+       << ", \"time\": " << path.time << ", \"cells\": [";
     for (std::size_t c = 0; c < path.cells.size(); ++c) {
       if (c > 0) os << ',';
       os << '[' << path.cells[c].x << ',' << path.cells[c].y << ']';

@@ -28,6 +28,17 @@ const char* to_string(TransportKind kind) {
 
 namespace {
 
+/// Cost per pump actuation already charged to a cell: steers control
+/// traffic away from heavily pumped valves so transports do not push the
+/// chip's hottest valve even higher (the objective is the max actuation).
+constexpr double kPumpAvoidanceWeight = 0.25;
+/// Discount for cells already actuated by earlier (non-overlapping) paths:
+/// encourages a shared channel tree, which keeps the number of implemented
+/// valves (#v) low after the never-actuated ones are removed.
+constexpr double kReuseDiscount = 0.6;
+/// A path gives up after this many rip-up attempts.
+constexpr int kMaxRipups = 8;
+
 class Router {
  public:
   Router(const MappingProblem& problem, const Placement& placement,
@@ -53,7 +64,7 @@ class Router {
       mark_obstacles(path);
       mark_congestion(path);
       bool routed = false;
-      for (int attempt = 0; attempt <= options_.max_ripups; ++attempt) {
+      for (int attempt = 0; attempt <= kMaxRipups; ++attempt) {
         if (!dijkstra(path)) break;
         const int overfull = find_overfull_storage(path);
         if (overfull < 0) {
@@ -260,9 +271,8 @@ class Router {
         // already accumulated count, so the max-actuation objective is not
         // pushed up by routing.
         double step = 1.0 + (congested_.at(next) ? options_.congestion_penalty : 0.0) +
-                      options_.pump_avoidance_weight *
-                          (pump_loads_.at(next) + control_loads_.at(next));
-        if (used_.at(next)) step -= options_.reuse_discount;
+                      kPumpAvoidanceWeight * (pump_loads_.at(next) + control_loads_.at(next));
+        if (used_.at(next)) step -= kReuseDiscount;
         step = std::max(step, 0.1);
         if (dist_.at(cell) + step < dist_.at(next)) {
           dist_.at(next) = dist_.at(cell) + step;

@@ -42,16 +42,6 @@ struct RoutedPath {
 struct RouterOptions {
   /// Extra cost on cells already used by a temporally overlapping path.
   double congestion_penalty = 8.0;
-  /// Cost per pump actuation already charged to a cell: steers control
-  /// traffic away from heavily pumped valves so transports do not push the
-  /// chip's hottest valve even higher (the objective is the max actuation).
-  double pump_avoidance_weight = 0.25;
-  /// Discount for cells already actuated by earlier (non-overlapping)
-  /// paths: encourages a shared channel tree, which keeps the number of
-  /// implemented valves (#v) low after the never-actuated ones are removed.
-  double reuse_discount = 0.6;
-  /// Give up after this many rip-up attempts per path.
-  int max_ripups = 8;
   /// Optional input-port pinning (see route/port_assignment.hpp): fills of
   /// the named input fluid may only start at the given input-port index,
   /// which must lie in [0, number of input ports).  Empty = any input port

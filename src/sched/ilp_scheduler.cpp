@@ -21,11 +21,12 @@ using ilp::VarId;
 
 namespace {
 
+/// Node limit of the search.
+constexpr std::int64_t kMaxNodes = 200'000;
+
 /// A mix/detect operation occupies its device for duration + transport
 /// (the product must leave before the next operation can enter).
-int occupancy(const Operation& op, int transport_delay) {
-  return op.duration + transport_delay;
-}
+int occupancy(const Operation& op) { return op.duration + assay::kTransportDelay; }
 
 }  // namespace
 
@@ -34,7 +35,7 @@ IlpScheduleResult schedule_optimal(const SequencingGraph& graph, const Policy& p
   obs::Span span("sched", "schedule_optimal");
   if (span.active()) span.arg("ops", graph.size());
   // The list schedule provides the horizon and the warm start.
-  const Schedule warm = schedule_with_policy(graph, policy, options.transport_delay);
+  const Schedule warm = schedule_with_policy(graph, policy);
   const int horizon = warm.makespan();
 
   Model model;
@@ -70,7 +71,7 @@ IlpScheduleResult schedule_optimal(const SequencingGraph& graph, const Policy& p
     for (const OpId parent : op.parents) {
       const Operation& producer = graph.op(parent);
       if (producer.kind == OpKind::kInput) continue;  // arrives at fill time
-      const int lag = producer.duration + options.transport_delay;
+      const int lag = producer.duration + assay::kTransportDelay;
       LinearExpr expr = start_expr(op.id);
       const LinearExpr parent_expr = start_expr(parent);
       for (const auto& term : parent_expr.terms()) expr.add_term(term.var, -term.coeff);
@@ -94,7 +95,7 @@ IlpScheduleResult schedule_optimal(const SequencingGraph& graph, const Policy& p
       bool any = false;
       for (const Operation* op : ops) {
         const auto& vars = start_vars.at(op->id.index);
-        const int occ = occupancy(*op, options.transport_delay);
+        const int occ = occupancy(*op);
         for (int s = std::max(0, t - occ + 1); s <= t && s < static_cast<int>(vars.size());
              ++s) {
           running.add_term(vars[static_cast<std::size_t>(s)], 1.0);
@@ -136,9 +137,7 @@ IlpScheduleResult schedule_optimal(const SequencingGraph& graph, const Policy& p
 
   ilp::MilpOptions milp_options;
   milp_options.time_limit_seconds = options.time_limit_seconds;
-  milp_options.max_nodes = options.max_nodes;
-  milp_options.threads = options.threads;
-  milp_options.lp = options.lp;
+  milp_options.max_nodes = kMaxNodes;
   milp_options.initial_incumbent = std::move(incumbent);
   const ilp::MilpResult solved = ilp::solve_milp(model, milp_options);
 
@@ -146,7 +145,7 @@ IlpScheduleResult schedule_optimal(const SequencingGraph& graph, const Policy& p
   static_cast<ilp::SolveCounters&>(result) = solved;
   result.status = solved.status;
   result.schedule.graph = &graph;
-  result.schedule.transport_delay = options.transport_delay;
+  result.schedule.transport_delay = assay::kTransportDelay;
   result.schedule.start.assign(static_cast<std::size_t>(graph.size()), 0);
   result.schedule.end.assign(static_cast<std::size_t>(graph.size()), 0);
   require(!solved.values.empty(), "scheduling ILP lost its warm start");

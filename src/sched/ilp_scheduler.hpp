@@ -21,13 +21,6 @@ namespace fsyn::sched {
 
 struct IlpScheduleOptions {
   double time_limit_seconds = 60.0;
-  long max_nodes = 200'000;
-  int transport_delay = assay::kTransportDelay;
-  /// Tree-search workers (ilp::MilpOptions::threads); 0 = one reproducible worker.
-  int threads = 0;
-  /// LP engine configuration (basis representation, pricing rule) forwarded
-  /// to the relaxation solver.
-  ilp::LpOptions lp;
 };
 
 /// The solve's counters (ilp::SolveCounters) plus the schedule it chose.
@@ -36,10 +29,11 @@ struct IlpScheduleResult : ilp::SolveCounters {
   ilp::MilpStatus status = ilp::MilpStatus::kLimit;
 };
 
-/// Solves the scheduling ILP under `policy`.  The horizon is the list
-/// scheduler's makespan (always achievable), and the list schedule warm
-/// starts the search, so a valid schedule is always returned; `status`
-/// says whether it is proven optimal.
+/// Solves the scheduling ILP under `policy` with the standard transport
+/// delay (assay::kTransportDelay), on one reproducible worker and at most
+/// 200,000 nodes.  The horizon is the list scheduler's makespan (always
+/// achievable), and the list schedule warm starts the search, so a valid
+/// schedule is always returned; `status` says whether it is proven optimal.
 IlpScheduleResult schedule_optimal(const assay::SequencingGraph& graph, const Policy& policy,
                                    const IlpScheduleOptions& options = {});
 

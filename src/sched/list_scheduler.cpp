@@ -218,4 +218,9 @@ Schedule schedule_with_policy(const SequencingGraph& graph, const Policy& policy
   return schedule;
 }
 
+Schedule schedule_for(const SequencingGraph& graph, bool asap, int policy_increments) {
+  return asap ? schedule_asap(graph)
+              : schedule_with_policy(graph, make_policy(graph, policy_increments));
+}
+
 }  // namespace fsyn::sched

@@ -55,4 +55,8 @@ Schedule schedule_asap(const assay::SequencingGraph& graph,
 Schedule schedule_with_policy(const assay::SequencingGraph& graph, const Policy& policy,
                               int transport_delay = assay::kTransportDelay);
 
+/// The schedule a job asks for: ASAP when `asap`, else list scheduling
+/// under `make_policy(graph, policy_increments)`.
+Schedule schedule_for(const assay::SequencingGraph& graph, bool asap, int policy_increments);
+
 }  // namespace fsyn::sched

@@ -94,8 +94,6 @@ void mix_options(Hasher& h, const synth::SynthesisOptions& options) {
   h.mix(options.heuristic.seed);
   h.mix(options.heuristic.greedy_retries);
   h.mix(options.heuristic.sa_iterations);
-  h.mix(options.heuristic.initial_temperature);
-  h.mix(options.heuristic.final_temperature);
   h.mix(options.heuristic.warm_start.has_value());
   if (options.heuristic.warm_start.has_value()) {
     for (const arch::DeviceInstance& device : *options.heuristic.warm_start) {
@@ -111,20 +109,9 @@ void mix_options(Hasher& h, const synth::SynthesisOptions& options) {
   // tie-break to a different optimal placement, so thread settings are
   // result-affecting.
   h.mix(options.ilp.threads);
-  // Basis representation and pricing rule prove the same optimum but may
-  // tie-break to a different optimal placement, like the thread settings.
-  h.mix(static_cast<int>(options.ilp.lp.basis));
-  h.mix(static_cast<int>(options.ilp.lp.pricing));
   // Root cuts change the search trajectory, so they are result-affecting
   // through optimal-placement tie-breaks too.
-  h.mix(options.ilp.cuts.enabled);
-  h.mix(options.ilp.cuts.max_rounds);
-  h.mix(options.ilp.cuts.max_cuts_per_round);
-  h.mix(options.ilp.cuts.max_pool_size);
-  h.mix(options.ilp.cuts.min_violation);
-  h.mix(options.ilp.cuts.max_parallelism);
-  h.mix(options.ilp.cuts.max_age);
-  h.mix(options.ilp.cuts.min_bound_improvement);
+  h.mix(options.ilp.cuts);
   h.mix(options.ilp.warm_start.has_value());
   if (options.ilp.warm_start.has_value()) {
     for (const arch::DeviceInstance& device : *options.ilp.warm_start) {
@@ -140,7 +127,6 @@ void mix_options(Hasher& h, const synth::SynthesisOptions& options) {
   h.mix(options.max_chip_growth);
   h.mix(options.chip_sweep);
   h.mix(options.valve_weight);
-  h.mix(options.max_refinement_iterations);
   h.mix(options.routing_retries);
   h.mix(options.allow_storage_overlap);
   h.mix(options.routing_convenient);
@@ -151,9 +137,6 @@ void mix_options(Hasher& h, const synth::SynthesisOptions& options) {
   }
   h.section(8);
   h.mix(options.router.congestion_penalty);
-  h.mix(options.router.pump_avoidance_weight);
-  h.mix(options.router.reuse_discount);
-  h.mix(options.router.max_ripups);
   for (const auto& [fluid, port] : options.router.port_of_fluid) {  // std::map: sorted
     h.mix(fluid);
     h.mix(port);

@@ -35,6 +35,8 @@ using CacheKey = std::uint64_t;
 
 /// Canonical cache key for one synthesis job.  Two jobs with equal keys
 /// produce identical results (same graph structure, schedule and options).
+/// Every field of `SynthesisOptions` is hashed except the three cancel
+/// tokens, which never change a result.
 CacheKey canonical_key(const assay::SequencingGraph& graph, const sched::Schedule& schedule,
                        const synth::SynthesisOptions& options);
 

@@ -17,8 +17,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Seed distance between consecutive heuristic race arms.
+constexpr std::uint64_t kArmSeedStride = 7919;
+/// An exact-ILP arm joins the race when the assay has at most this many
+/// mixing operations (the ILP is only tractable on small instances).
+constexpr int kIlpArmMaxMixingOps = 8;
+
 double seconds_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
+}
+
+void notify(const JobSpec& spec, JobPhase phase, const char* stage = nullptr,
+            const JobResult* result = nullptr) {
+  if (spec.on_phase) spec.on_phase(spec.id, phase, stage, result);
 }
 
 int default_workers(int configured) {
@@ -113,9 +124,7 @@ std::future<JobResult> BatchService::submit(JobSpec spec) {
   rejected.status = JobStatus::kRejected;
   rejected.job_id = victim.spec->id;
   rejected.error = "job queue full (reject policy) or service shutting down";
-  if (victim.spec->on_phase) {
-    victim.spec->on_phase(victim.spec->id, JobPhase::kFinished, nullptr, &rejected);
-  }
+  notify(*victim.spec, JobPhase::kFinished, nullptr, &rejected);
   victim.promise->set_value(std::move(rejected));
   return future;
 }
@@ -147,11 +156,7 @@ MetricsSnapshot BatchService::metrics() const {
 JobResult BatchService::run_job(JobSpec& spec, Clock::time_point enqueued) {
   metrics_.job_started();
   const Clock::time_point started = Clock::now();
-
-  const auto notify = [&spec](JobPhase phase, const char* stage, const JobResult* result) {
-    if (spec.on_phase) spec.on_phase(spec.id, phase, stage, result);
-  };
-  notify(JobPhase::kStarted, nullptr, nullptr);
+  notify(spec, JobPhase::kStarted);
 
   JobResult out;
   out.job_id = spec.id;
@@ -172,130 +177,9 @@ JobResult BatchService::run_job(JobSpec& spec, Clock::time_point enqueued) {
         std::chrono::duration_cast<std::chrono::microseconds>(started - enqueued).count();
     tracer.complete("svc", "queued " + spec.name, tracer.now_us() - wait_us, wait_us);
   }
-  const auto close_job_span = [&] {
-    if (!job_span.active()) return;
-    job_span.arg("status", to_string(out.status));
-    job_span.arg("cache_hit", out.cache_hit);
-    if (!out.winner.empty()) job_span.arg("winner", out.winner);
-  };
 
   try {
-    if (spec.kind == JobKind::kFleet) {
-      // Fleet jobs bypass scheduling, the cache and the mappers entirely:
-      // the runner owns the whole closed loop (simulation + its own private
-      // repair service) and reports back a document plus fold-in counters.
-      require(spec.fleet_runner != nullptr, "kFleet job without a fleet_runner");
-      metrics_.fleet_job();
-      notify(JobPhase::kStage, "fleet", nullptr);
-      CancelSource job_source(spec.options.cancel);
-      if (spec.deadline.has_value()) {
-        job_source.set_deadline_after(*spec.deadline);
-      }
-      obs::Span fleet_span("svc", "fleet " + spec.name);
-      FleetStats stats;
-      const Clock::time_point fleet_started = Clock::now();
-      std::string document = spec.fleet_runner(job_source.token(), &stats);
-      metrics_.add_fleet_time(Clock::now() - fleet_started);
-      metrics_.record_fleet(stats);
-      if (fleet_span.active()) {
-        fleet_span.arg("chips", stats.chips);
-        fleet_span.arg("faults_detected", stats.faults_detected);
-        fleet_span.arg("repairs_succeeded", stats.repairs_succeeded);
-      }
-      out.document = std::make_shared<const std::string>(std::move(document));
-      out.winner = "fleet";
-      out.status = JobStatus::kDone;
-      metrics_.job_completed();
-      const Clock::time_point finished = Clock::now();
-      out.run_seconds = seconds_between(started, finished);
-      metrics_.add_total_time(finished - enqueued);
-      close_job_span();
-      notify(JobPhase::kFinished, nullptr, &out);
-      return out;
-    }
-
-    // Scheduling is deterministic and cheap; it runs inside the worker so
-    // the submitter never blocks on assay-sized work.
-    notify(JobPhase::kStage, "schedule", nullptr);
-    const sched::Schedule schedule = [&] {
-      obs::Span span("svc", "schedule");
-      return spec.asap ? sched::schedule_asap(spec.graph)
-                       : sched::schedule_with_policy(
-                             spec.graph,
-                             sched::make_policy(spec.graph, spec.policy_increments));
-    }();
-
-    const CacheKey key = canonical_key(spec.graph, schedule, spec.options);
-    std::shared_ptr<const synth::SynthesisResult> cached = cache_.lookup(key);
-    if (cached && spec.kind == JobKind::kSynthesis) {
-      out.status = JobStatus::kDone;
-      out.result = std::move(cached);
-      out.cache_hit = true;
-      out.winner = "cache";
-      metrics_.job_completed();
-      const Clock::time_point finished = Clock::now();
-      out.run_seconds = seconds_between(started, finished);
-      metrics_.add_total_time(finished - enqueued);
-      close_job_span();
-      notify(JobPhase::kStage, "cache", nullptr);
-      notify(JobPhase::kFinished, nullptr, &out);
-      return out;
-    }
-
-    // Arm the job-level token: deadline plus (chained) any caller token.
-    CancelSource job_source(spec.options.cancel);
-    if (spec.deadline.has_value()) {
-      job_source.set_deadline_after(*spec.deadline);
-    }
-    const CancelToken job_token = job_source.token();
-    spec.options.cancel = job_token;
-
-    // The healthy mapping: cached if available (reliability jobs reach here
-    // with a hit — their analysis is never cached, but the synthesis is),
-    // freshly solved otherwise.
-    if (cached) {
-      out.result = std::move(cached);
-      out.cache_hit = true;
-      out.winner = "cache";
-      notify(JobPhase::kStage, "cache", nullptr);
-    } else {
-      notify(JobPhase::kStage, "synthesize", nullptr);
-      const Clock::time_point synth_started = Clock::now();
-      synth::SynthesisResult result;
-      if (config_.portfolio.enabled && spec.options.mapper == synth::MapperKind::kHeuristic) {
-        result = race(spec, schedule, job_token, &out.winner);
-      } else {
-        metrics_.mapper_invoked();
-        result = synth::synthesize(spec.graph, schedule, spec.options);
-        out.winner = "single";
-      }
-      metrics_.add_synthesis_time(Clock::now() - synth_started);
-      // MILP solver counters of the (winning) synthesis; zeros for heuristic
-      // runs, so the aggregate reflects ILP work only.
-      metrics_.record_solver(result.milp);
-      out.result = std::make_shared<const synth::SynthesisResult>(std::move(result));
-      cache_.insert(key, out.result);
-    }
-
-    if (spec.kind == JobKind::kReliability) {
-      metrics_.reliability_job();
-      notify(JobPhase::kStage, "reliability", nullptr);
-      obs::Span rel_span("svc", "reliability " + spec.name);
-      rel::ReliabilityOptions ropts = spec.reliability;
-      ropts.synthesis = spec.options;  // same mapper/limits for repair rounds
-      ropts.policy_increments = spec.policy_increments;
-      ropts.asap = spec.asap;
-      ropts.monte_carlo.cancel = job_token;
-      const Clock::time_point rel_started = Clock::now();
-      out.report = std::make_shared<const rel::ReliabilityReport>(
-          rel::analyze(spec.graph, schedule, *out.result, ropts));
-      metrics_.add_reliability_time(Clock::now() - rel_started);
-      if (rel_span.active()) {
-        rel_span.arg("mttf_runs", out.report->healthy.mttf_runs);
-        rel_span.arg("rounds", out.report->rounds.size());
-      }
-    }
-
+    execute(spec, out);
     out.status = JobStatus::kDone;
     metrics_.job_completed();
   } catch (const CancelledError& e) {
@@ -311,9 +195,108 @@ JobResult BatchService::run_job(JobSpec& spec, Clock::time_point enqueued) {
   const Clock::time_point finished = Clock::now();
   out.run_seconds = seconds_between(started, finished);
   metrics_.add_total_time(finished - enqueued);
-  close_job_span();
-  notify(JobPhase::kFinished, nullptr, &out);
+  if (job_span.active()) {
+    job_span.arg("status", to_string(out.status));
+    job_span.arg("cache_hit", out.cache_hit);
+    if (!out.winner.empty()) job_span.arg("winner", out.winner);
+  }
+  notify(spec, JobPhase::kFinished, nullptr, &out);
   return out;
+}
+
+void BatchService::execute(JobSpec& spec, JobResult& out) {
+  if (spec.kind == JobKind::kFleet) {
+    // Fleet jobs bypass scheduling, the cache and the mappers entirely:
+    // the runner owns the whole closed loop (simulation + its own private
+    // repair service) and reports back a document plus fold-in counters.
+    require(spec.fleet_runner != nullptr, "kFleet job without a fleet_runner");
+    metrics_.fleet_job();
+    notify(spec, JobPhase::kStage, "fleet");
+    CancelSource job_source(spec.options.cancel);
+    if (spec.deadline.has_value()) {
+      job_source.set_deadline_after(*spec.deadline);
+    }
+    obs::Span fleet_span("svc", "fleet " + spec.name);
+    FleetStats stats;
+    const Clock::time_point fleet_started = Clock::now();
+    std::string document = spec.fleet_runner(job_source.token(), &stats);
+    metrics_.add_fleet_time(Clock::now() - fleet_started);
+    metrics_.record_fleet(stats);
+    if (fleet_span.active()) {
+      fleet_span.arg("chips", stats.chips);
+      fleet_span.arg("faults_detected", stats.faults_detected);
+      fleet_span.arg("repairs_succeeded", stats.repairs_succeeded);
+    }
+    out.document = std::make_shared<const std::string>(std::move(document));
+    out.winner = "fleet";
+    return;
+  }
+
+  // Scheduling is deterministic and cheap; it runs inside the worker so
+  // the submitter never blocks on assay-sized work.
+  notify(spec, JobPhase::kStage, "schedule");
+  const sched::Schedule schedule = [&] {
+    obs::Span span("svc", "schedule");
+    return sched::schedule_for(spec.graph, spec.asap, spec.policy_increments);
+  }();
+
+  // The healthy mapping: cached if available (reliability jobs use a hit
+  // too — their analysis is never cached, but the synthesis is), freshly
+  // solved otherwise.
+  const CacheKey key = canonical_key(spec.graph, schedule, spec.options);
+  if (std::shared_ptr<const synth::SynthesisResult> cached = cache_.lookup(key)) {
+    out.result = std::move(cached);
+    out.cache_hit = true;
+    out.winner = "cache";
+    notify(spec, JobPhase::kStage, "cache");
+    if (spec.kind == JobKind::kSynthesis) return;
+  }
+
+  // Arm the job-level token: deadline plus (chained) any caller token.
+  CancelSource job_source(spec.options.cancel);
+  if (spec.deadline.has_value()) {
+    job_source.set_deadline_after(*spec.deadline);
+  }
+  const CancelToken job_token = job_source.token();
+  spec.options.cancel = job_token;
+
+  if (!out.cache_hit) {
+    notify(spec, JobPhase::kStage, "synthesize");
+    const Clock::time_point synth_started = Clock::now();
+    synth::SynthesisResult result;
+    if (config_.portfolio.enabled && spec.options.mapper == synth::MapperKind::kHeuristic) {
+      result = race(spec, schedule, job_token, &out.winner);
+    } else {
+      metrics_.mapper_invoked();
+      result = synth::synthesize(spec.graph, schedule, spec.options);
+      out.winner = "single";
+    }
+    metrics_.add_synthesis_time(Clock::now() - synth_started);
+    // MILP solver counters of the (winning) synthesis; zeros for heuristic
+    // runs, so the aggregate reflects ILP work only.
+    metrics_.record_solver(result.milp);
+    out.result = std::make_shared<const synth::SynthesisResult>(std::move(result));
+    cache_.insert(key, out.result);
+  }
+
+  if (spec.kind == JobKind::kReliability) {
+    metrics_.reliability_job();
+    notify(spec, JobPhase::kStage, "reliability");
+    obs::Span rel_span("svc", "reliability " + spec.name);
+    rel::ReliabilityOptions ropts = spec.reliability;
+    ropts.synthesis = spec.options;  // same mapper/limits for repair rounds
+    ropts.policy_increments = spec.policy_increments;
+    ropts.asap = spec.asap;
+    ropts.monte_carlo.cancel = job_token;
+    const Clock::time_point rel_started = Clock::now();
+    out.report = std::make_shared<const rel::ReliabilityReport>(
+        rel::analyze(spec.graph, schedule, *out.result, ropts));
+    metrics_.add_reliability_time(Clock::now() - rel_started);
+    if (rel_span.active()) {
+      rel_span.arg("mttf_runs", out.report->healthy.mttf_runs);
+      rel_span.arg("rounds", out.report->rounds.size());
+    }
+  }
 }
 
 synth::SynthesisResult BatchService::race(const JobSpec& spec,
@@ -328,16 +311,15 @@ synth::SynthesisResult BatchService::race(const JobSpec& spec,
   // Build the arm lineup: several heuristic seeds, plus the exact ILP on
   // instances small enough for it to be competitive.
   std::vector<Arm> arms;
-  const PortfolioOptions& portfolio = config_.portfolio;
-  for (int k = 0; k < std::max(1, portfolio.heuristic_arms); ++k) {
+  for (int k = 0; k < std::max(1, config_.portfolio.heuristic_arms); ++k) {
     Arm arm{"", spec.options, CancelSource(job_token)};
     arm.options.mapper = synth::MapperKind::kHeuristic;
     arm.options.heuristic.seed =
-        spec.options.heuristic.seed + static_cast<std::uint64_t>(k) * portfolio.seed_stride;
+        spec.options.heuristic.seed + static_cast<std::uint64_t>(k) * kArmSeedStride;
     arm.name = "heuristic[" + std::to_string(arm.options.heuristic.seed) + "]";
     arms.push_back(std::move(arm));
   }
-  if (spec.graph.mixing_count() <= portfolio.ilp_max_mixing_ops) {
+  if (spec.graph.mixing_count() <= kIlpArmMaxMixingOps) {
     Arm arm{"ilp", spec.options, CancelSource(job_token)};
     arm.options.mapper = synth::MapperKind::kIlp;
     arms.push_back(std::move(arm));
@@ -356,10 +338,6 @@ synth::SynthesisResult BatchService::race(const JobSpec& spec,
   TaskGroup group;
   for (Arm& arm : arms) {
     arm.options.cancel = arm.source.token();
-    // The mapper tokens must chain to the *arm* token (synthesize would
-    // only fill inert ones, and ours were propagated from the job spec).
-    arm.options.heuristic.cancel = arm.options.cancel;
-    arm.options.ilp.cancel = arm.options.cancel;
     metrics_.race_arm_started();
     // The task carries the trace context of this point, after race_span
     // began, so arms parent to the race span and carry the job's trace id.

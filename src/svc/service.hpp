@@ -53,12 +53,10 @@ namespace fsyn::svc {
 struct PortfolioOptions {
   /// Off by default: racing is latency-optimal but not deterministic.
   bool enabled = false;
-  /// Concurrent heuristic arms; arm k runs with seed `seed + k * stride`.
+  /// Concurrent heuristic arms; arm k runs with seed `seed + k * 7919`.
+  /// An exact-ILP arm joins them when the assay has at most 8 mixing
+  /// operations (the ILP is only tractable on small instances).
   int heuristic_arms = 3;
-  std::uint64_t seed_stride = 7919;
-  /// An exact-ILP arm joins the race when the assay has at most this many
-  /// mixing operations (the ILP is only tractable on small instances).
-  int ilp_max_mixing_ops = 8;
 };
 
 enum class JobStatus {
@@ -207,7 +205,11 @@ class BatchService {
   };
 
   void run_next_pending();
+  /// Runs one job and does its accounting: status, counters, run time,
+  /// the job span and the kFinished notification.
   JobResult run_job(JobSpec& spec, std::chrono::steady_clock::time_point enqueued);
+  /// The work of a job, filling `out`'s result fields; throws on failure.
+  void execute(JobSpec& spec, JobResult& out);
   synth::SynthesisResult race(const JobSpec& spec, const sched::Schedule& schedule,
                               const CancelToken& job_token, std::string* winner);
 

@@ -18,6 +18,11 @@ namespace {
 using arch::DeviceInstance;
 using arch::DeviceType;
 
+/// Annealing schedule: the temperature decays geometrically from the first
+/// to the last move, on the scale of `Cost::scalar`.
+constexpr double kInitialTemperature = 40000.0;
+constexpr double kFinalTemperature = 10.0;
+
 /// Annealing cost: lexicographic (max load, sum of squared loads) folded
 /// into one number.  The squared term is what lets the search walk across
 /// plateaus of equal max load toward better-balanced states.
@@ -250,10 +255,9 @@ class Mapper {
     Placement best_placement = placement_;
     Cost best_cost = cost;
 
-    const double t0 = options_.initial_temperature;
-    const double t1 = std::max(options_.final_temperature, 1e-3);
-    const double decay = std::pow(t1 / t0, 1.0 / options_.sa_iterations);
-    double temperature = t0;
+    const double decay =
+        std::pow(kFinalTemperature / kInitialTemperature, 1.0 / options_.sa_iterations);
+    double temperature = kInitialTemperature;
 
     for (int iter = 0; iter < options_.sa_iterations; ++iter, temperature *= decay) {
       if ((iter & 0xff) == 0) options_.cancel.check("annealing loop");

@@ -26,8 +26,6 @@ struct HeuristicOptions {
   int greedy_retries = 12;
   /// Simulated-annealing move budget; 0 disables refinement (pure greedy).
   int sa_iterations = 20000;
-  double initial_temperature = 40000.0;
-  double final_temperature = 10.0;
   /// Cooperative cancellation, polled between greedy restarts and every few
   /// hundred annealing moves; `map_heuristic` throws CancelledError.
   CancelToken cancel;

@@ -181,8 +181,7 @@ std::optional<IlpMappingOutcome> map_ilp(const MappingProblem& problem,
   milp_options.max_nodes = options.max_nodes;
   milp_options.cancel = options.cancel;
   milp_options.threads = options.threads;
-  milp_options.lp = options.lp;
-  milp_options.cut_options = options.cuts;
+  milp_options.cuts = options.cuts;
   if (options.warm_start.has_value()) {
     const Placement& start = *options.warm_start;
     problem.validate_placement(start);

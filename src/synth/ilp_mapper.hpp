@@ -35,11 +35,8 @@ struct IlpMapperOptions {
   CancelToken cancel;
   /// Tree-search workers (ilp::MilpOptions::threads); 0 = one reproducible worker.
   int threads = 0;
-  /// LP engine configuration (basis representation, pricing rule, tolerances)
-  /// forwarded to every per-node relaxation solver.
-  ilp::LpOptions lp;
-  /// Root cutting-plane loop configuration (ilp::MilpOptions::cut_options).
-  ilp::CutOptions cuts;
+  /// Root cutting-plane loop (ilp::MilpOptions::cuts).
+  bool cuts = true;
 };
 
 /// The solve's counters (ilp::SolveCounters) plus the placement it chose.

@@ -18,6 +18,9 @@ namespace fsyn::synth {
 
 namespace {
 
+/// Bound on Algorithm-1 L4-L9 iterations (storage-overlap forbidding).
+constexpr int kMaxRefinementIterations = 16;
+
 /// Checks the free-space rule for every storage-overlapping pair of an ILP
 /// placement and forbids the first violating pair (Algorithm 1 L6-L8).
 /// Returns true when all overlaps fit.
@@ -67,7 +70,7 @@ std::optional<MappingAttempt> run_mapper(MappingProblem& problem,
   // the paper); iterate mapping + post-check (Algorithm 1 L4-L9).  Solver
   // counters accumulate across the refinement iterations.
   MappingAttempt attempt;
-  for (int iteration = 0; iteration < options.max_refinement_iterations; ++iteration) {
+  for (int iteration = 0; iteration < kMaxRefinementIterations; ++iteration) {
     options.cancel.check("refinement loop");
     IlpMapperOptions ilp_options = options.ilp;
     if (options.warm_start_ilp && !ilp_options.warm_start.has_value()) {
@@ -174,10 +177,9 @@ std::optional<SynthesisResult> attempt_on_size(const assay::SequencingGraph& gra
 /// with prefetch() are taken in turn by up to `max_tasks` executor tasks,
 /// so at most `max_tasks` + 1 attempts run at once counting the caller,
 /// which runs a queued size itself rather than wait for one.  Each attempt
-/// has its own cancel tokens, chained to the caller's (mapper tokens to the
-/// mapper ones, so explicit mapper tokens still win); a failed probe below
-/// the first size cancels the probes below it, which the serial loop never
-/// reaches.
+/// has its own cancel token, chained to the caller's, which both mappers
+/// poll; a failed probe below the first size cancels the probes below it,
+/// which the serial loop never reaches.
 class AttemptRunner {
  public:
   AttemptRunner(const assay::SequencingGraph& graph, const sched::Schedule& schedule,
@@ -192,7 +194,7 @@ class AttemptRunner {
   void prefetch(int side) {
     if (max_tasks_ == 0) return;
     std::lock_guard<std::mutex> lock(mutex_);
-    if (!slots_.try_emplace(side, options_).second) return;
+    if (!slots_.try_emplace(side, options_.cancel).second) return;
     queue_.push_back(side);
     // Tasks not running an attempt are about to take a queued size.
     if (tasks_ < max_tasks_ && static_cast<int>(queue_.size()) > tasks_ - busy_tasks_) {
@@ -204,7 +206,7 @@ class AttemptRunner {
   /// The attempt on `side`: its result, or its exception rethrown.
   std::optional<SynthesisResult> take(int side) {
     std::unique_lock<std::mutex> lock(mutex_);
-    auto it = slots_.try_emplace(side, options_).first;
+    auto it = slots_.try_emplace(side, options_.cancel).first;
     Slot& slot = it->second;
     if (slot.state == State::kQueued) {
       std::erase(queue_, side);
@@ -235,7 +237,7 @@ class AttemptRunner {
       std::lock_guard<std::mutex> lock(mutex_);
       queue_.clear();
       for (auto& [side, slot] : slots_) {
-        if (slot.state == State::kRunning) slot.cancel();
+        if (slot.state == State::kRunning) slot.source.cancel();
       }
     }
     group_.wait();
@@ -255,18 +257,9 @@ class AttemptRunner {
   enum class State { kQueued, kRunning, kDone };
 
   struct Slot {
-    explicit Slot(const SynthesisOptions& options)
-        : synthesis(options.cancel), heuristic(options.heuristic.cancel),
-          ilp(options.ilp.cancel) {}
-    void cancel() {
-      synthesis.cancel();
-      heuristic.cancel();
-      ilp.cancel();
-    }
+    explicit Slot(const CancelToken& parent) : source(parent) {}
     State state = State::kQueued;
-    CancelSource synthesis;
-    CancelSource heuristic;
-    CancelSource ilp;
+    CancelSource source;
     std::optional<SynthesisResult> result;
     std::exception_ptr error;
   };
@@ -287,9 +280,9 @@ class AttemptRunner {
       }
       try {
         SynthesisOptions options = options_;
-        options.cancel = slot.synthesis.token();
-        options.heuristic.cancel = slot.heuristic.token();
-        options.ilp.cancel = slot.ilp.token();
+        options.cancel = slot.source.token();
+        options.heuristic.cancel = options.cancel;
+        options.ilp.cancel = options.cancel;
         result = attempt_on_size(graph_, schedule_, options, side, side - first_side_);
       } catch (const CancelledError&) {
         if (span.active()) span.arg("cancelled", true);
@@ -316,7 +309,7 @@ class AttemptRunner {
         return true;
       });
       for (auto& [other, other_slot] : slots_) {
-        if (other < side && other_slot.state == State::kRunning) other_slot.cancel();
+        if (other < side && other_slot.state == State::kRunning) other_slot.source.cancel();
       }
     }
     done_.notify_all();
@@ -356,21 +349,13 @@ class AttemptRunner {
 
 SynthesisResult synthesize(const assay::SequencingGraph& graph,
                            const sched::Schedule& schedule,
-                           const SynthesisOptions& user_options) {
+                           const SynthesisOptions& options) {
   const auto started = std::chrono::steady_clock::now();
   obs::Span span("synth", "synthesize");
   if (span.active()) {
     span.arg("assay", graph.name());
     span.arg("ops", graph.size());
-    span.arg("mapper", user_options.mapper == MapperKind::kIlp ? "ilp" : "heuristic");
-  }
-
-  // Propagate a synthesis-level token into the mapper options so one token
-  // on SynthesisOptions cancels every stage (explicit mapper tokens win).
-  SynthesisOptions options = user_options;
-  if (options.cancel.valid()) {
-    if (!options.heuristic.cancel.valid()) options.heuristic.cancel = options.cancel;
-    if (!options.ilp.cancel.valid()) options.ilp.cancel = options.cancel;
+    span.arg("mapper", options.mapper == MapperKind::kIlp ? "ilp" : "heuristic");
   }
 
   check_input(options.dead_valves.empty() || options.grid_size.has_value(),

@@ -56,8 +56,6 @@ struct SynthesisOptions {
   /// attempt runs on the calling thread.
   int chip_sweep = 3;
   double valve_weight = 0.5;
-  /// Bound on Algorithm-1 L4-L9 iterations (storage-overlap forbidding).
-  int max_refinement_iterations = 16;
   /// When routing fails, remap the same chip with a different heuristic
   /// seed this many times before growing the matrix.
   int routing_retries = 3;
@@ -78,9 +76,10 @@ struct SynthesisOptions {
   /// util/cancel.hpp).  Polled between chip-size attempts, refinement
   /// iterations and inside both mappers; `synthesize` throws
   /// CancelledError when the token fires, after every concurrent attempt
-  /// has stopped.  Each attempt runs on its own token chained to this one
-  /// (and mapper tokens to the mapper ones), so the sweep can cancel a
-  /// speculative attempt alone.  Inert by default.
+  /// has stopped.  Each attempt runs on its own token chained to this one,
+  /// so the sweep can cancel a speculative attempt alone; both mappers get
+  /// the attempt's token (`heuristic.cancel` and `ilp.cancel` are ignored
+  /// here).  Inert by default.
   CancelToken cancel;
 };
 

@@ -288,10 +288,9 @@ const JsonValue& JsonValue::at(const std::string& key) const {
   return *value;
 }
 
-namespace {
-
-void append_escaped(std::string& out, std::string_view text) {
+void append_json_string(std::string& out, std::string_view text) {
   static const char* kHex = "0123456789abcdef";
+  out += '"';
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -311,7 +310,17 @@ void append_escaped(std::string& out, std::string_view text) {
         }
     }
   }
+  out += '"';
 }
+
+std::string json_quote(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  append_json_string(out, text);
+  return out;
+}
+
+namespace {
 
 void append_number(std::string& out, double number) {
   // Shortest exact form: integral doubles print without a fraction, the
@@ -347,9 +356,7 @@ void dump_value(std::string& out, const JsonValue& value) {
       break;
     }
     case JsonValue::Kind::kString:
-      out += '"';
-      append_escaped(out, value.as_string());
-      out += '"';
+      append_json_string(out, value.as_string());
       break;
     case JsonValue::Kind::kArray: {
       out += '[';
@@ -368,9 +375,8 @@ void dump_value(std::string& out, const JsonValue& value) {
       for (const auto& [name, member] : value.members()) {
         if (!first) out += ',';
         first = false;
-        out += '"';
-        append_escaped(out, name);
-        out += "\":";
+        append_json_string(out, name);
+        out += ':';
         dump_value(out, member);
       }
       out += '}';
@@ -384,13 +390,6 @@ void dump_value(std::string& out, const JsonValue& value) {
 std::string JsonValue::dump() const {
   std::string out;
   dump_value(out, *this);
-  return out;
-}
-
-std::string json_escape_string(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  append_escaped(out, text);
   return out;
 }
 
@@ -439,18 +438,15 @@ JsonWriter& JsonWriter::key(std::string_view name) {
   require(!counts_.empty() && !after_key_, "JsonWriter::key outside an object");
   if (counts_.back() > 0) out_ += ',';
   ++counts_.back();
-  out_ += '"';
-  append_escaped(out_, name);
-  out_ += "\":";
+  append_json_string(out_, name);
+  out_ += ':';
   after_key_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::string_view text) {
   before_value();
-  out_ += '"';
-  append_escaped(out_, text);
-  out_ += '"';
+  append_json_string(out_, text);
   return *this;
 }
 

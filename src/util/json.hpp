@@ -72,9 +72,13 @@ class JsonValue {
   friend class JsonParser;
 };
 
-/// Escapes `text` for use inside a JSON string literal (no surrounding
-/// quotes; control characters become \uXXXX).
-std::string json_escape_string(std::string_view text);
+/// Appends `text` to `out` as a quoted JSON string, escaped the way
+/// `JsonValue::parse` reads it back: `"` and `\`, the short escapes \b \f
+/// \n \r \t, \u00XX for the other control characters; UTF-8 passes through.
+void append_json_string(std::string& out, std::string_view text);
+
+/// `text` as a quoted JSON string (see append_json_string).
+std::string json_quote(std::string_view text);
 
 /// Builder for compact JSON documents, used by the network layer for wire
 /// messages and journal records.  It tracks nesting so commas and colons

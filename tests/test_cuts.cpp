@@ -134,7 +134,7 @@ TEST_P(CutFuzz, NoGeneratedCutViolatesAnIntegerFeasiblePoint) {
   const FuzzInstance instance = make_instance(seed);
   std::vector<double> lower(instance.lower.begin(), instance.lower.end());
   std::vector<double> upper(instance.upper.begin(), instance.upper.end());
-  CutOptions options;  // defaults = what solve_milp runs
+  const CutOptions options;  // defaults = what solve_milp runs
 
   // First-round separators against the raw root relaxation.
   LpSolver solver(instance.model);
@@ -145,7 +145,7 @@ TEST_P(CutFuzz, NoGeneratedCutViolatesAnIntegerFeasiblePoint) {
       expect_cut_valid(instance, cut, "gomory", seed);
     }
     for (const Cut& cut :
-         generate_cover_cuts(instance.model, lower, upper, root.values, options)) {
+         generate_cover_cuts(instance.model, lower, upper, root.values)) {
       expect_cut_valid(instance, cut, "cover", seed);
     }
   }
@@ -184,10 +184,7 @@ Cut make_cut(std::vector<int> cols, std::vector<double> vals, double rhs,
 }
 
 TEST(CutPool, RejectsWeakAndParallelCandidates) {
-  CutOptions options;
-  options.min_violation = 1e-4;
-  options.max_parallelism = 0.9;
-  CutPool pool(options);
+  CutPool pool(CutOptions{});
   const std::vector<double> point = {0.5, 0.5};
 
   // x0 <= 0 is violated by 0.5 at the point: accepted.
@@ -220,28 +217,24 @@ TEST(CutPool, TakeRoundOrdersByViolationAndFiltersParallel) {
 }
 
 TEST(CutPool, AgesOutCutsThatStopSeparating) {
-  CutOptions options;
-  options.max_age = 2;
-  CutPool pool(options);
+  CutPool pool(CutOptions{});
   const std::vector<double> point = {0.5};
   ASSERT_TRUE(pool.add(make_cut({0}, {1.0}, 0.0), point));
 
   // A point that satisfies the cut: take_round selects nothing, the cut
-  // lingers and ages; it expires once its age reaches max_age.
+  // lingers and ages; it expires once its age reaches the limit of 2.
   const std::vector<double> interior = {0.0};
   EXPECT_TRUE(pool.take_round(interior).empty());
-  pool.age_round();  // age 1 < max_age: kept
+  pool.age_round();  // age 1 < 2: kept
   EXPECT_EQ(pool.size(), 1u);
   EXPECT_TRUE(pool.take_round(interior).empty());
-  pool.age_round();  // age 2 == max_age: dropped
+  pool.age_round();  // age 2: dropped
   EXPECT_EQ(pool.size(), 0u);
   EXPECT_EQ(pool.aged_out(), 1);
 }
 
 TEST(CutPool, ViolatedCutIsSelectedBeforeItExpires) {
-  CutOptions options;
-  options.max_age = 2;
-  CutPool pool(options);
+  CutPool pool(CutOptions{});
   const std::vector<double> point = {0.5};
   ASSERT_TRUE(pool.add(make_cut({0}, {1.0}, 0.0), point));
   pool.age_round();  // age 1 — one more idle round would drop it

@@ -12,6 +12,7 @@
 #include "sched/list_scheduler.hpp"
 #include "sim/wear_model.hpp"
 #include "synth/synthesis.hpp"
+#include "util/json.hpp"
 
 namespace fsyn {
 namespace {
@@ -161,11 +162,15 @@ TEST(Contamination, ExtraControlGridMatchesPlan) {
 // ------------------------------------------------------------ JSON export
 
 TEST(JsonExport, EscapesSpecialCharacters) {
-  EXPECT_EQ(report::json_escape("plain"), "plain");
-  EXPECT_EQ(report::json_escape("a\"b"), "a\\\"b");
-  EXPECT_EQ(report::json_escape("a\\b"), "a\\\\b");
-  EXPECT_EQ(report::json_escape("a\nb"), "a\\nb");
-  EXPECT_EQ(report::json_escape(std::string("a\x01") + "b"), "a\\u0001b");
+  EXPECT_EQ(json_quote("plain"), "\"plain\"");
+  EXPECT_EQ(json_quote("a\"b"), "\"a\\\"b\"");
+  EXPECT_EQ(json_quote("a\\b"), "\"a\\\\b\"");
+  EXPECT_EQ(json_quote("a\nb"), "\"a\\nb\"");
+  EXPECT_EQ(json_quote(std::string("a\x01") + "b"), "\"a\\u0001b\"");
+  EXPECT_EQ(json_quote("a\bb\fc"), "\"a\\bb\\fc\"");
+  // What the writers escape, the parser reads back.
+  const std::string nasty = std::string("q\"b\\n\n\t\b\f\r\x01\x1f") + "\xc3\xa9";
+  EXPECT_EQ(JsonValue::parse(json_quote(nasty)).as_string(), nasty);
 }
 
 TEST(JsonExport, DocumentContainsAllSections) {

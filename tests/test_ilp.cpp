@@ -365,7 +365,7 @@ TEST(Milp, RootLpThatGivesUpIsSolvedOnce) {
   options.lp.max_iterations = 1;
   options.initial_incumbent = start;
   const MilpResult with_cuts = solve_milp(m, options);
-  options.cut_options.enabled = false;
+  options.cuts = false;
   const MilpResult without_cuts = solve_milp(m, options);
   EXPECT_EQ(with_cuts.status, MilpStatus::kFeasible);
   EXPECT_EQ(with_cuts.status, without_cuts.status);

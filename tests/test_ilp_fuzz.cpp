@@ -137,11 +137,6 @@ TEST_P(MilpFuzz, AllConfigurationsMatchEnumeration) {
   cold.lp_warm_start = false;
   check_config(instance, best, cold, "cold-lp");
 
-  MilpOptions diving = defaults;
-  diving.node_order = NodeOrder::kDepthFirst;
-  diving.pseudocost_branching = false;
-  check_config(instance, best, diving, "depth-first/most-fractional");
-
   MilpOptions no_presolve = defaults;
   no_presolve.presolve = false;
   check_config(instance, best, no_presolve, "no-presolve");
@@ -150,7 +145,7 @@ TEST_P(MilpFuzz, AllConfigurationsMatchEnumeration) {
   // cuts-off run has to land on the same enumeration optimum as the
   // default (cuts-on) run above.
   MilpOptions no_cuts = defaults;
-  no_cuts.cut_options.enabled = false;
+  no_cuts.cuts = false;
   check_config(instance, best, no_cuts, "no-cuts");
 
   // The dense explicit-inverse basis is the reference implementation the
@@ -222,7 +217,7 @@ FuzzInstance searchable_instance() {
   for (std::uint64_t seed = 0xF002; seed < 0xF002 + 64; ++seed) {
     FuzzInstance candidate = make_instance(seed);
     MilpOptions options;
-    options.cut_options.enabled = false;
+    options.cuts = false;
     const MilpResult r = solve_milp(candidate.model, options);
     if (r.status == MilpStatus::kOptimal && r.nodes >= 4) return candidate;
   }
@@ -235,7 +230,7 @@ FuzzInstance searchable_instance() {
 TEST(ParallelBranchAndBound, TelemetryShape) {
   const FuzzInstance instance = searchable_instance();
   MilpOptions single;
-  single.cut_options.enabled = false;
+  single.cuts = false;
   const MilpResult s = solve_milp(instance.model, single);
   EXPECT_EQ(s.threads, 1);
   ASSERT_EQ(s.worker_stats.size(), 1u);
@@ -247,7 +242,7 @@ TEST(ParallelBranchAndBound, TelemetryShape) {
 
   MilpOptions parallel;
   parallel.threads = 2;
-  parallel.cut_options.enabled = false;
+  parallel.cuts = false;
   const MilpResult p = solve_milp(instance.model, parallel);
   EXPECT_EQ(p.threads, 2);
   ASSERT_EQ(p.worker_stats.size(), 2u);
@@ -269,7 +264,7 @@ TEST(ParallelBranchAndBound, EpochScheduleEmitsProgressTracks) {
   const FuzzInstance instance = searchable_instance();
   obs::Tracer& tracer = obs::Tracer::instance();
   MilpOptions options;
-  options.cut_options.enabled = false;
+  options.cuts = false;
   tracer.drain();
   tracer.enable();
   const MilpResult r = solve_milp(instance.model, options);
@@ -329,7 +324,7 @@ TEST(ParallelBranchAndBound, CancellationStopsTheSearch) {
 TEST(ParallelBranchAndBound, NestedSolvesOnTheExecutorProveTheOptimum) {
   const FuzzInstance instance = searchable_instance();
   MilpOptions serial;
-  serial.cut_options.enabled = false;
+  serial.cuts = false;
   const MilpResult expected = solve_milp(instance.model, serial);
   ASSERT_EQ(expected.status, MilpStatus::kOptimal);
 

@@ -354,7 +354,7 @@ TEST(IlpMapper, RootLpThatGivesUpIsSolvedOnce) {
   options.warm_start = warm->placement;
   options.time_limit_seconds = 60.0;
   const auto with_cuts = map_ilp(*p->problem, options);
-  options.cuts.enabled = false;
+  options.cuts = false;
   const auto without_cuts = map_ilp(*p->problem, options);
   ASSERT_TRUE(with_cuts.has_value());
   ASSERT_TRUE(without_cuts.has_value());

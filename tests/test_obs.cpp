@@ -24,6 +24,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_context.hpp"
 #include "obs/trace_export.hpp"
+#include "util/json.hpp"
 
 namespace fsyn::obs {
 namespace {

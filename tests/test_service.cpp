@@ -363,28 +363,82 @@ TEST(BatchService, RaceRespectsJobDeadline) {
 TEST(ResultCache, CanonicalKeyIgnoresNamesButSeesStructure) {
   const assay::SequencingGraph pcr = assay::make_benchmark("pcr");
   const sched::Schedule schedule = sched::schedule_asap(pcr);
-  synth::SynthesisOptions options;
+  const synth::SynthesisOptions options;
 
   const svc::CacheKey base = svc::canonical_key(pcr, schedule, options);
   EXPECT_EQ(svc::canonical_key(pcr, schedule, options), base);  // deterministic
 
-  synth::SynthesisOptions reseeded = options;
-  reseeded.heuristic.seed = 4242;
-  EXPECT_NE(svc::canonical_key(pcr, schedule, reseeded), base);
-
-  synth::SynthesisOptions sized = options;
-  sized.grid_size = 12;
-  EXPECT_NE(svc::canonical_key(pcr, schedule, sized), base);
+  std::string text = assay::to_assay_text(pcr);
+  text.replace(text.find(pcr.name()), pcr.name().size(), "renamed");
+  const assay::SequencingGraph renamed = assay::parse_assay(text);
+  ASSERT_EQ(renamed.name(), "renamed");
+  EXPECT_EQ(svc::canonical_key(renamed, schedule, options), base);
 
   const assay::SequencingGraph other = assay::make_benchmark("invitro");
   const sched::Schedule other_schedule = sched::schedule_asap(other);
   EXPECT_NE(svc::canonical_key(other, other_schedule, options), base);
+}
 
-  // ILP thread settings are result-affecting (the async parallel search
-  // may tie-break to a different optimal placement), so they must key.
-  synth::SynthesisOptions threaded = options;
-  threaded.ilp.threads = 4;
-  EXPECT_NE(svc::canonical_key(pcr, schedule, threaded), base);
+/// One table row per field the key hashes: changing that field alone must
+/// change the key, and no two rows may collide.  The three cancel tokens
+/// never change a result, so they must not change the key.
+TEST(ResultCache, CanonicalKeyCoversExactlyTheSettableFields) {
+  const assay::SequencingGraph pcr = assay::make_benchmark("pcr");
+  const sched::Schedule schedule = sched::schedule_asap(pcr);
+  const synth::SynthesisOptions defaults;
+  const svc::CacheKey base = svc::canonical_key(pcr, schedule, defaults);
+
+  const synth::Placement start_a = {arch::DeviceInstance{{3, 3}, {0, 0}}};
+  const synth::Placement start_b = {arch::DeviceInstance{{3, 3}, {1, 0}}};
+  using Edit = void (*)(synth::SynthesisOptions&, const synth::Placement&,
+                        const synth::Placement&);
+  const std::vector<std::pair<std::string, Edit>> rows = {
+      {"mapper", [](auto& o, auto&, auto&) { o.mapper = synth::MapperKind::kIlp; }},
+      {"heuristic.seed", [](auto& o, auto&, auto&) { o.heuristic.seed = 4242; }},
+      {"heuristic.greedy_retries", [](auto& o, auto&, auto&) { o.heuristic.greedy_retries = 3; }},
+      {"heuristic.sa_iterations", [](auto& o, auto&, auto&) { o.heuristic.sa_iterations = 100; }},
+      {"heuristic.warm_start a", [](auto& o, auto& a, auto&) { o.heuristic.warm_start = a; }},
+      {"heuristic.warm_start b", [](auto& o, auto&, auto& b) { o.heuristic.warm_start = b; }},
+      {"ilp.time_limit_seconds", [](auto& o, auto&, auto&) { o.ilp.time_limit_seconds = 5.0; }},
+      {"ilp.max_nodes", [](auto& o, auto&, auto&) { o.ilp.max_nodes = 1000; }},
+      {"ilp.warm_start a", [](auto& o, auto& a, auto&) { o.ilp.warm_start = a; }},
+      {"ilp.warm_start b", [](auto& o, auto&, auto& b) { o.ilp.warm_start = b; }},
+      // The async parallel search may tie-break to a different optimal
+      // placement, and root cuts change the search trajectory.
+      {"ilp.threads", [](auto& o, auto&, auto&) { o.ilp.threads = 4; }},
+      {"ilp.cuts", [](auto& o, auto&, auto&) { o.ilp.cuts = false; }},
+      {"warm_start_ilp", [](auto& o, auto&, auto&) { o.warm_start_ilp = false; }},
+      {"grid_size", [](auto& o, auto&, auto&) { o.grid_size = 12; }},
+      {"chip_slack", [](auto& o, auto&, auto&) { o.chip_slack = 0.7; }},
+      {"max_chip_growth", [](auto& o, auto&, auto&) { o.max_chip_growth = 3; }},
+      {"chip_sweep", [](auto& o, auto&, auto&) { o.chip_sweep = 0; }},
+      {"valve_weight", [](auto& o, auto&, auto&) { o.valve_weight = 1.0; }},
+      {"routing_retries", [](auto& o, auto&, auto&) { o.routing_retries = 1; }},
+      {"allow_storage_overlap", [](auto& o, auto&, auto&) { o.allow_storage_overlap = false; }},
+      {"routing_convenient", [](auto& o, auto&, auto&) { o.routing_convenient = false; }},
+      {"dead_valves", [](auto& o, auto&, auto&) { o.dead_valves = {Point{1, 1}}; }},
+      {"router.congestion_penalty", [](auto& o, auto&, auto&) { o.router.congestion_penalty = 4.0; }},
+      {"router.port_of_fluid", [](auto& o, auto&, auto&) { o.router.port_of_fluid = {{"sample", 0}}; }},
+  };
+  std::vector<std::pair<svc::CacheKey, std::string>> keys;
+  for (const auto& [field, edit] : rows) {
+    synth::SynthesisOptions options = defaults;
+    edit(options, start_a, start_b);
+    const svc::CacheKey key = svc::canonical_key(pcr, schedule, options);
+    EXPECT_NE(key, base) << field;
+    keys.emplace_back(key, field);
+  }
+  std::sort(keys.begin(), keys.end());
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    EXPECT_NE(keys[i - 1].first, keys[i].first) << keys[i - 1].second << " vs " << keys[i].second;
+  }
+
+  CancelSource source;
+  synth::SynthesisOptions tokens = defaults;
+  tokens.cancel = source.token();
+  tokens.heuristic.cancel = source.token();
+  tokens.ilp.cancel = source.token();
+  EXPECT_EQ(svc::canonical_key(pcr, schedule, tokens), base);
 }
 
 TEST(ResultCache, ShardedCacheSurvivesConcurrentHammering) {

@@ -345,15 +345,13 @@ synth::SynthesisOptions synthesis_options(const CliOptions& cli) {
     usage("--ilp-threads must be 0.." + std::to_string(ilp::kMaxMilpThreads));
   }
   options.ilp.threads = cli.ilp_threads;
-  options.ilp.cuts.enabled = cli.lp_cuts;
+  options.ilp.cuts = cli.lp_cuts;
   return options;
 }
 
 int run_schedule(const CliOptions& cli) {
   const auto graph = load_target(cli.target);
-  const sched::Schedule schedule =
-      cli.asap ? sched::schedule_asap(graph)
-               : sched::schedule_with_policy(graph, sched::make_policy(graph, cli.policy));
+  const sched::Schedule schedule = sched::schedule_for(graph, cli.asap, cli.policy);
   std::cout << "assay '" << graph.name() << "': " << graph.size() << " ops ("
             << graph.mixing_count() << " mixing), makespan " << schedule.makespan()
             << " tu\n\n"
@@ -363,9 +361,7 @@ int run_schedule(const CliOptions& cli) {
 
 int run_synth(const CliOptions& cli) {
   const auto graph = load_target(cli.target);
-  const sched::Schedule schedule =
-      cli.asap ? sched::schedule_asap(graph)
-               : sched::schedule_with_policy(graph, sched::make_policy(graph, cli.policy));
+  const sched::Schedule schedule = sched::schedule_for(graph, cli.asap, cli.policy);
 
   synth::SynthesisOptions options = synthesis_options(cli);
   options.grid_size = cli.grid;
@@ -449,9 +445,7 @@ int run_reliability(const CliOptions& cli) {
   }
 
   const assay::SequencingGraph graph = load_target(assay_ref);
-  const sched::Schedule schedule =
-      asap ? sched::schedule_asap(graph)
-           : sched::schedule_with_policy(graph, sched::make_policy(graph, policy));
+  const sched::Schedule schedule = sched::schedule_for(graph, asap, policy);
   if (cli.in_path.empty()) {
     synth_options.grid_size = cli.grid;
     healthy = synth::synthesize(graph, schedule, synth_options);
