@@ -86,20 +86,32 @@ struct Rect {
     return out;
   }
 
-  /// The perimeter ring of cells (the circulation path of a dynamic mixer).
-  /// For a w x h rect this is 2(w+h)-4 cells; for width or height 1 it
-  /// degenerates to all cells.
-  std::vector<Point> ring_cells() const {
-    std::vector<Point> out;
-    if (empty()) return out;
-    if (width == 1 || height == 1) return cells();
+  /// Calls `fn(Point)` for each cell of the perimeter ring (the circulation
+  /// path of a dynamic mixer), in ring_cells() order, without allocating.
+  template <typename Fn>
+  void for_each_ring_cell(Fn&& fn) const {
+    if (empty()) return;
+    if (width == 1 || height == 1) {
+      for (int cy = bottom(); cy < top(); ++cy) {
+        for (int cx = left(); cx < right(); ++cx) fn(Point{cx, cy});
+      }
+      return;
+    }
     // Clockwise walk: bottom row, right column, top row, left column.  The
     // corner cells belong to the horizontal rows, so nothing is duplicated
     // and the count is exactly 2(w+h)-4.
-    for (int cx = left(); cx < right(); ++cx) out.push_back(Point{cx, bottom()});
-    for (int cy = bottom() + 1; cy < top() - 1; ++cy) out.push_back(Point{right() - 1, cy});
-    for (int cx = right() - 1; cx >= left(); --cx) out.push_back(Point{cx, top() - 1});
-    for (int cy = top() - 2; cy >= bottom() + 1; --cy) out.push_back(Point{left(), cy});
+    for (int cx = left(); cx < right(); ++cx) fn(Point{cx, bottom()});
+    for (int cy = bottom() + 1; cy < top() - 1; ++cy) fn(Point{right() - 1, cy});
+    for (int cx = right() - 1; cx >= left(); --cx) fn(Point{cx, top() - 1});
+    for (int cy = top() - 2; cy >= bottom() + 1; --cy) fn(Point{left(), cy});
+  }
+
+  /// The perimeter ring of cells (the circulation path of a dynamic mixer).
+  /// For a w x h rect this is 2(w+h)-4 cells; for width or height 1 it
+  /// degenerates to all cells, row-major.
+  std::vector<Point> ring_cells() const {
+    std::vector<Point> out;
+    for_each_ring_cell([&out](const Point& p) { out.push_back(p); });
     return out;
   }
 };

@@ -48,10 +48,18 @@ class Mapper {
         placed_at_(static_cast<std::size_t>(problem.task_count()), 0),
         ban_begin_(1, 0),
         conflict_votes_(static_cast<std::size_t>(problem.task_count()), 0) {
+    int grid_size = 0;
+    int total_pump = 0;
     for (int i = 0; i < problem.task_count(); ++i) {
       ban_begin_.push_back(ban_begin_.back() + problem.candidates(i).size());
+      grid_size = std::max(grid_size, problem.origin_grid_size(i));
+      total_pump += problem.task(i).pump_actuations;
     }
     banned_.assign(ban_begin_.back(), 0);
+    conflict_map_.assign(static_cast<std::size_t>(grid_size), -1);
+    // No cell can carry more than every task's pumping.
+    level_count_.assign(static_cast<std::size_t>(total_pump) + 1, 0);
+    clear_loads();
   }
 
   std::optional<MappingOutcome> run() {
@@ -62,7 +70,7 @@ class Mapper {
       // Randomized restarts: grow the tie-break noise so successive
       // attempts explore genuinely different layouts.
       noise_ = 400.0 * (retry + 1);
-      loads_.fill(0);
+      clear_loads();
       constructed = greedy_construct();
     }
     noise_ = 0.0;
@@ -93,7 +101,7 @@ class Mapper {
     }
     placement_ = warm;
     std::fill(placed_.begin(), placed_.end(), 1);
-    loads_.fill(0);
+    clear_loads();
     for (int i = 0; i < problem_.task_count(); ++i) {
       apply_load(placement_[static_cast<std::size_t>(i)],
                  problem_.task(i).pump_actuations, +1);
@@ -101,34 +109,42 @@ class Mapper {
     return true;
   }
 
-  /// Returns -1 when `device` is legal for the task against every placed
-  /// task, else the first placed conflict partner it clashes with (used to
-  /// pick backtracking victims).
-  int first_conflict(int task_index, const DeviceInstance& device) const {
-    for (const int other : problem_.conflict_partners(task_index)) {
-      const auto o = static_cast<std::size_t>(other);
-      if (placed_[o] && !problem_.pair_feasible(task_index, device, other, placement_[o])) {
-        return other;
-      }
-    }
-    return -1;
+  /// True when `device` is legal for the task against every other task's
+  /// position (all tasks placed, as during annealing).
+  bool legal_move(int task_index, const DeviceInstance& device) const {
+    const std::span<const int> partners = problem_.conflict_partners(task_index);
+    return std::all_of(partners.begin(), partners.end(), [&](int other) {
+      return problem_.pair_feasible(task_index, device, other,
+                                    placement_[static_cast<std::size_t>(other)]);
+    });
   }
 
+  /// Adds (sign +1) or removes (-1) a device's pumping, keeping the cost
+  /// terms current: the sum of squared loads exactly, and the max load from
+  /// the number of cells at each load level.
   void apply_load(const DeviceInstance& device, int pump_actuations, int sign) {
     if (pump_actuations == 0) return;
-    for (const Point& cell : device.pump_cells()) {
-      loads_.at(cell) += sign * pump_actuations;
-    }
+    device.footprint().for_each_ring_cell([&](const Point& cell) {
+      int& load = loads_.at(cell);
+      const long before = load;
+      load += sign * pump_actuations;
+      sum_squares_ += static_cast<long>(load) * load - before * before;
+      --level_count_[static_cast<std::size_t>(before)];
+      ++level_count_[static_cast<std::size_t>(load)];
+      max_load_ = std::max(max_load_, static_cast<long>(load));
+    });
+    while (level_count_[static_cast<std::size_t>(max_load_)] == 0) --max_load_;
   }
 
-  Cost current_cost() const {
-    Cost cost;
-    for (const int load : loads_) {
-      cost.max_load = std::max(cost.max_load, static_cast<long>(load));
-      cost.sum_squares += static_cast<long>(load) * load;
-    }
-    return cost;
+  void clear_loads() {
+    loads_.fill(0);
+    std::fill(level_count_.begin(), level_count_.end(), 0);
+    level_count_[0] = problem_.chip().width() * problem_.chip().height();
+    sum_squares_ = 0;
+    max_load_ = 0;
   }
+
+  Cost current_cost() const { return Cost{max_load_, sum_squares_}; }
 
   /// Greedy with backtracking: place tasks in occupancy order, each at the
   /// position that minimizes (resulting max ring load, added squared load,
@@ -171,23 +187,34 @@ class Mapper {
       double best_score = 0.0;
       std::size_t best = 0;
 
-      // Only conflict partners can block a candidate, so only they vote.
-      for (const int other : partners) conflict_votes_[static_cast<std::size_t>(other)] = 0;
+      // Only placed conflict partners can block a candidate.  Marked from
+      // the highest index down, each origin ends up holding the lowest-index
+      // partner that blocks it: the first a pair_feasible scan of the
+      // partners in order would find, and the one that gets the vote.
+      const std::span<int> conflicts(conflict_map_.data(),
+                                     static_cast<std::size_t>(problem_.origin_grid_size(i)));
+      std::fill(conflicts.begin(), conflicts.end(), -1);
+      for (auto other = partners.rbegin(); other != partners.rend(); ++other) {
+        const auto o = static_cast<std::size_t>(*other);
+        if (placed_[o]) problem_.mark_conflicts(i, *other, placement_[o], conflicts);
+        conflict_votes_[o] = 0;
+      }
       for (std::size_t c = 0; c < pool.size(); ++c) {
         if (banned[c]) continue;
         const DeviceInstance& candidate = pool[c];
-        const int conflict = first_conflict(i, candidate);
+        const int conflict =
+            conflicts[static_cast<std::size_t>(problem_.origin_cell(i, candidate))];
         if (conflict >= 0) {
           ++conflict_votes_[static_cast<std::size_t>(conflict)];
           continue;
         }
         long new_max = 0, added_sq = 0;
-        for (const Point& cell : candidate.pump_cells()) {
+        candidate.footprint().for_each_ring_cell([&](const Point& cell) {
           const long before = loads_.at(cell);
           const long after = before + task.pump_actuations;
           new_max = std::max(new_max, after);
           added_sq += after * after - before * before;
-        }
+        });
         // Stay close to placed parents/children (routing convenience) and
         // to co-parents: their common child must later fit within the
         // routing distance of both.
@@ -274,7 +301,7 @@ class Mapper {
       const DeviceInstance old = placement_[static_cast<std::size_t>(i)];
       // Every task is placed and task i is not its own conflict partner,
       // so no tentative assignment is needed.
-      if (first_conflict(i, proposal) >= 0) continue;
+      if (!legal_move(i, proposal)) continue;
 
       apply_load(old, task.pump_actuations, -1);
       apply_load(proposal, task.pump_actuations, +1);
@@ -296,7 +323,7 @@ class Mapper {
 
     placement_ = best_placement;
     // Rebuild loads for the final placement.
-    loads_.fill(0);
+    clear_loads();
     for (int i = 0; i < problem_.task_count(); ++i) {
       apply_load(placement_[static_cast<std::size_t>(i)], problem_.task(i).pump_actuations, +1);
     }
@@ -307,15 +334,22 @@ class Mapper {
   Rng rng_;
   Grid<int> loads_;
   Placement placement_;
+  // The cost terms of loads_ (see apply_load): cells per load value, the
+  // largest load with a cell, and the sum of squared loads.
+  std::vector<int> level_count_;
+  long max_load_ = 0;
+  long sum_squares_ = 0;
   // Construction state, reused across greedy restarts: whether each task is
   // placed and at which position of its candidates, the rip-up bans (task
-  // i's flags start at ban_begin_[i], one per candidate position), and the
-  // per-task victim votes.
+  // i's flags start at ban_begin_[i], one per candidate position), the
+  // per-task victim votes, and the conflict map of the task being placed
+  // (its origin grid, sized for the largest task's).
   std::vector<char> placed_;
   std::vector<std::size_t> placed_at_;
   std::vector<std::size_t> ban_begin_;
   std::vector<char> banned_;
   std::vector<int> conflict_votes_;
+  std::vector<int> conflict_map_;
   double noise_ = 0.0;
   long moves_tried_ = 0;
   long moves_accepted_ = 0;

@@ -95,9 +95,9 @@ std::optional<IlpMappingOutcome> map_ilp(const MappingProblem& problem,
       if (task.pump_actuations == 0) continue;
       load_bound = std::max(load_bound, task.pump_actuations);
       for (const Candidate& c : vars[static_cast<std::size_t>(i)].candidates) {
-        for (const Point& cell : c.instance.pump_cells()) {
+        c.instance.footprint().for_each_ring_cell([&](const Point& cell) {
           contributions.at(cell).push_back({c.var, task.pump_actuations});
-        }
+        });
       }
     }
     contributions.for_each([&](const Point& cell, const auto& terms) {

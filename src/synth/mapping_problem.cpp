@@ -71,6 +71,7 @@ MappingProblem MappingProblem::build(const assay::SequencingGraph& graph,
   problem.co_parents_cache_.assign(n * n, 0);
   problem.time_overlap_cache_.assign(n * n, 0);
   problem.forbidden_cache_.assign(n * n, 0);
+  problem.storage_free_.assign(n * n, 0);
   problem.conflict_begin_.assign(1, 0);
   problem.proximity_begin_.assign(1, 0);
   for (int a = 0; a < problem.task_count(); ++a) {
@@ -84,6 +85,11 @@ MappingProblem MappingProblem::build(const assay::SequencingGraph& graph,
       problem.parent_child_cache_[ab] = parent_child;
       problem.co_parents_cache_[ab] = co_parents;
       problem.time_overlap_cache_[ab] = overlap;
+      if (parent_child) {
+        // Worst case is just before the parent (a) releases: every earlier
+        // product is already resident in b's storage.
+        problem.storage_free_[ab] = tb.volume - problem.storage_occupied_before(b, ta.release);
+      }
       if (b == a) continue;
       if (parent_child || overlap) problem.conflict_tasks_.push_back(b);
       if (parent_child || co_parents) problem.proximity_tasks_.push_back(b);
@@ -215,17 +221,18 @@ int MappingProblem::storage_occupied_before(int child, int t) const {
 
 bool MappingProblem::storage_overlap_fits(int parent, const DeviceInstance& dp, int child,
                                           const DeviceInstance& dc) const {
-  // Cells of the child storage blocked by the live parent device.
+  // Cells of the child storage's ring blocked by the live parent device:
+  // those of its footprint minus those of its interior (empty when the
+  // ring is the whole footprint).
   const Rect parent_footprint = dp.footprint();
-  int blocked = 0;
-  for (const Point& cell : dc.pump_cells()) {
-    if (parent_footprint.contains(cell)) ++blocked;
-  }
-  if (blocked == 0) return true;
-  // Worst case is just before the parent device releases: every earlier
-  // product is already resident in the storage.
-  const int occupied = storage_occupied_before(child, task(parent).release);
-  return blocked <= task(child).volume - occupied;
+  const Rect child_footprint = dc.footprint();
+  const Rect interior{child_footprint.x + 1, child_footprint.y + 1, child_footprint.width - 2,
+                      child_footprint.height - 2};
+  const int blocked = child_footprint.intersection(parent_footprint).area() -
+                      interior.intersection(parent_footprint).area();
+  // The free volume is never negative, so an overlap that blocks no ring
+  // cell always fits.
+  return blocked <= storage_free_[pair_index(parent, child)];
 }
 
 bool MappingProblem::pair_feasible(int a, const DeviceInstance& da, int b,
@@ -256,6 +263,76 @@ bool MappingProblem::pair_feasible(int a, const DeviceInstance& da, int b,
   return gap >= 1;
 }
 
+int MappingProblem::origin_grid_size(int a) const {
+  int size = 0;
+  for (const arch::DeviceType& type : task(a).types) {
+    size += (chip_.width() - type.width + 1) * (chip_.height() - type.height + 1);
+  }
+  return size;
+}
+
+void MappingProblem::mark_conflicts(int a, int b, const DeviceInstance& db,
+                                    std::span<int> grid) const {
+  const bool related = parent_child(a, b);
+  const bool distance_bound = related && routing_convenient_;
+  const bool concurrent = time_overlap(a, b);
+  if (!distance_bound && !concurrent) return;
+  const bool may_overlap = related && allow_storage_overlap_ && !storage_overlap_forbidden(a, b);
+  const bool a_is_parent = task(a).start <= task(b).start;
+  const Rect fb = db.footprint();
+  const int d = routing_distance_;
+
+  int offset = 0;
+  for (const arch::DeviceType& type : task(a).types) {
+    const int columns = chip_.width() - type.width + 1;
+    const int rows = chip_.height() - type.height + 1;
+    // Writes b into the origins [x0, x1] x [y0, y1] (inclusive) of this
+    // type's block, clipped to it.
+    const auto mark = [&](int x0, int x1, int y0, int y1) {
+      x0 = std::max(x0, 0);
+      x1 = std::min(x1, columns - 1);
+      if (x0 > x1) return;
+      for (int y = std::max(y0, 0); y <= std::min(y1, rows - 1); ++y) {
+        const auto row = grid.begin() + offset + y * columns;
+        std::fill(row + x0, row + x1 + 1, b);
+      }
+    };
+    if (distance_bound) {
+      // gap > d outside the window [fb.left() - w - d, fb.right() + d] x
+      // [fb.bottom() - h - d, fb.top() + d]: mark the rows below and above
+      // it, and both sides of it in its rows.
+      const int x0 = fb.left() - type.width - d;
+      const int x1 = fb.right() + d;
+      const int y0 = fb.bottom() - type.height - d;
+      const int y1 = fb.top() + d;
+      mark(0, columns - 1, 0, y0 - 1);
+      mark(0, columns - 1, y1 + 1, rows - 1);
+      mark(0, x0 - 1, y0, y1);
+      mark(x1 + 1, columns - 1, y0, y1);
+    }
+    if (concurrent && may_overlap) {
+      // Only overlapping origins can break the free-space rule; test them
+      // one by one.
+      const int x0 = std::max(fb.left() - type.width + 1, 0);
+      const int x1 = std::min(fb.right() - 1, columns - 1);
+      const int y0 = std::max(fb.bottom() - type.height + 1, 0);
+      const int y1 = std::min(fb.top() - 1, rows - 1);
+      for (int y = y0; y <= y1; ++y) {
+        for (int x = x0; x <= x1; ++x) {
+          const DeviceInstance da{type, Point{x, y}};
+          const bool fits = a_is_parent ? storage_overlap_fits(a, da, b, db)
+                                        : storage_overlap_fits(b, db, a, da);
+          if (!fits) grid[static_cast<std::size_t>(offset + y * columns + x)] = b;
+        }
+      }
+    } else if (concurrent) {
+      // Wall gap: gap 0, i.e. touching or overlapping footprints.
+      mark(fb.left() - type.width, fb.right(), fb.bottom() - type.height, fb.top());
+    }
+    offset += columns * rows;
+  }
+}
+
 void MappingProblem::validate_placement(const Placement& placement) const {
   require(static_cast<int>(placement.size()) == task_count(), "placement size mismatch");
   for (int i = 0; i < task_count(); ++i) {
@@ -280,9 +357,8 @@ Grid<int> MappingProblem::pump_loads(const Placement& placement) const {
   for (int i = 0; i < task_count(); ++i) {
     const MappingTask& t = task(i);
     if (t.pump_actuations == 0) continue;
-    for (const Point& cell : placement[static_cast<std::size_t>(i)].pump_cells()) {
-      loads.at(cell) += t.pump_actuations;
-    }
+    placement[static_cast<std::size_t>(i)].footprint().for_each_ring_cell(
+        [&](const Point& cell) { loads.at(cell) += t.pump_actuations; });
   }
   return loads;
 }
@@ -297,11 +373,11 @@ Grid<int> MappingProblem::pump_loads_setting2(const Placement& placement) const 
   for (int i = 0; i < task_count(); ++i) {
     const MappingTask& t = task(i);
     if (!t.is_mix) continue;
-    const int ring = static_cast<int>(placement[static_cast<std::size_t>(i)].pump_cells().size());
+    const Rect footprint = placement[static_cast<std::size_t>(i)].footprint();
+    int ring = 0;
+    footprint.for_each_ring_cell([&ring](const Point&) { ++ring; });
     const int per_valve = (kDedicatedPumpWorkPerMix + ring - 1) / ring;
-    for (const Point& cell : placement[static_cast<std::size_t>(i)].pump_cells()) {
-      loads.at(cell) += per_valve;
-    }
+    footprint.for_each_ring_cell([&](const Point& cell) { loads.at(cell) += per_valve; });
   }
   return loads;
 }

@@ -28,6 +28,7 @@
 #include "arch/device_types.hpp"
 #include "assay/sequencing_graph.hpp"
 #include "sched/schedule.hpp"
+#include "util/error.hpp"
 
 namespace fsyn::synth {
 
@@ -154,14 +155,41 @@ class MappingProblem {
   // ---- feasibility semantics (shared by ILP and heuristic) ----
 
   /// Spatial legality of two placed tasks, honouring time overlap, wall
-  /// gaps, the storage-overlap permission and routing convenience.
+  /// gaps, the storage-overlap permission and routing convenience.  The
+  /// reference semantics: validation, annealing and repairs call it per
+  /// pair, and mark_conflicts must agree with it cell for cell.
   bool pair_feasible(int a, const arch::DeviceInstance& da, int b,
                      const arch::DeviceInstance& db) const;
+
+  /// Task a's origin grid: for each of a's types in order, one cell per
+  /// origin at which the type fits the chip, row-major.  origin_cell maps
+  /// an instance of one of a's types to its cell.
+  int origin_grid_size(int a) const;
+  int origin_cell(int a, const arch::DeviceInstance& d) const {
+    int offset = 0;
+    for (const arch::DeviceType& type : task(a).types) {
+      const int columns = chip_.width() - type.width + 1;
+      if (type == d.type) return offset + d.origin.y * columns + d.origin.x;
+      offset += columns * (chip_.height() - type.height + 1);
+    }
+    throw LogicError("origin_cell: device type is not one of the task's");
+  }
+
+  /// pair_feasible against one placed partner, for all of a's origins at
+  /// once: writes `b` into every cell of `grid` (a's origin grid) whose
+  /// device d has pair_feasible(a, d, b, db) false, and leaves every other
+  /// cell as it is.  The blocked cells form a few rectangles, so the cost
+  /// is their area, not one pair_feasible call per origin.  Marking a's
+  /// placed partners in descending index order leaves in each cell the
+  /// lowest-index partner that blocks it.
+  void mark_conflicts(int a, int b, const arch::DeviceInstance& db, std::span<int> grid) const;
 
   /// Free-space rule (Algorithm 1 L6): when the storage of the child task
   /// overlaps a parent device, the overlap area must fit into the storage's
   /// free volume while the parent is still working.  Returns true when the
-  /// pair's overlap is acceptable.
+  /// pair's overlap is acceptable.  `parent` and `child` must be a
+  /// parent/child pair, in either order; their free volume is computed in
+  /// build(), so the check is O(1).
   bool storage_overlap_fits(int parent, const arch::DeviceInstance& dp, int child,
                             const arch::DeviceInstance& dc) const;
 
@@ -196,6 +224,10 @@ class MappingProblem {
   std::vector<char> co_parents_cache_;
   std::vector<char> time_overlap_cache_;
   std::vector<char> forbidden_cache_;
+  // At pair_index(parent, child) of each parent/child pair, in both
+  // orders: the child storage's free volume just before the parent
+  // releases (storage_overlap_fits).
+  std::vector<int> storage_free_;
   std::size_t pair_index(int a, int b) const {
     return static_cast<std::size_t>(a) * static_cast<std::size_t>(task_count()) +
            static_cast<std::size_t>(b);

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <span>
 #include <tuple>
 
@@ -175,6 +176,232 @@ TEST(MappingProblem, RatioWeightsStorageOccupancy) {
   const int ic = problem.task_of(g.op(OpId{6}).id);
   // a contributes ceil(8 * 1/4) = 2 cells; 6 cells remain free while b runs.
   EXPECT_EQ(problem.storage_occupied_before(ic, problem.task(ib).release), 2);
+}
+
+/// The free-space rule by its definition, cell by cell: the child ring's
+/// cells inside the parent footprint against the child storage's free
+/// volume.
+bool storage_overlap_fits_by_ring(const MappingProblem& problem, int parent,
+                                  const DeviceInstance& dp, int child,
+                                  const DeviceInstance& dc) {
+  const Rect parent_footprint = dp.footprint();
+  int blocked = 0;
+  for (const Point& cell : dc.pump_cells()) {
+    if (parent_footprint.contains(cell)) ++blocked;
+  }
+  if (blocked == 0) return true;
+  const int occupied = problem.storage_occupied_before(child, problem.task(parent).release);
+  return blocked <= problem.task(child).volume - occupied;
+}
+
+TEST(MappingProblem, StorageOverlapFitsMatchesRingCellCount) {
+  // Every pair of footprints up to 6x6, the child at every offset of a
+  // 12x12 window around the parent, for one parent/child pair of each free
+  // volume in each parent order (the earlier task as parent, and the
+  // reverse).
+  const auto g = assay::make_interpolating_dilution();
+  const auto schedule = sched::schedule_with_policy(g, sched::make_policy(g, 1));
+  const auto problem = MappingProblem::build(g, schedule, arch::Architecture(14, 14));
+  std::vector<std::pair<int, bool>> seen;  // (free volume, a starts first)
+  int checked = 0, failing = 0;
+  for (int a = 0; a < problem.task_count(); ++a) {
+    for (const int b : problem.conflict_partners(a)) {
+      if (!problem.parent_child(a, b)) continue;
+      const std::pair<int, bool> key{
+          problem.task(b).volume - problem.storage_occupied_before(b, problem.task(a).release),
+          problem.task(a).start <= problem.task(b).start};
+      if (std::find(seen.begin(), seen.end(), key) != seen.end()) continue;
+      seen.push_back(key);
+      SCOPED_TRACE("parent " + problem.task(a).name + ", child " + problem.task(b).name);
+      for (int pw = 1; pw <= 6; ++pw) {
+        for (int ph = 1; ph <= 6; ++ph) {
+          const DeviceInstance dp{DeviceType{pw, ph}, Point{6, 6}};
+          for (int cw = 1; cw <= 6; ++cw) {
+            for (int ch = 1; ch <= 6; ++ch) {
+              for (int y = 0; y < 12; ++y) {
+                for (int x = 0; x < 12; ++x) {
+                  const DeviceInstance dc{DeviceType{cw, ch}, Point{x, y}};
+                  const bool expected = storage_overlap_fits_by_ring(problem, a, dp, b, dc);
+                  ++checked;
+                  failing += expected ? 0 : 1;
+                  if (problem.storage_overlap_fits(a, dp, b, dc) != expected) {
+                    ADD_FAILURE() << "parent " << dp.footprint() << ", child " << dc.footprint();
+                    return;
+                  }
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GE(seen.size(), 4u);
+  EXPECT_GT(failing, 0);
+  EXPECT_GT(checked - failing, 0);
+}
+
+/// The first placed conflict partner, in ascending order, that makes `d`
+/// illegal for task a, or -1: what the conflict map must hold.
+int first_blocking_partner(const MappingProblem& problem, int a, const DeviceInstance& d,
+                           const Placement& placement, const std::vector<char>& placed) {
+  for (const int b : problem.conflict_partners(a)) {
+    const auto ub = static_cast<std::size_t>(b);
+    if (placed[ub] && !problem.pair_feasible(a, d, b, placement[ub])) return b;
+  }
+  return -1;
+}
+
+/// Checks mark_conflicts against pair_feasible for every origin of every
+/// task, with the other tasks at random candidates and a random subset of
+/// them placed.  Returns the number of origins blocked.
+int expect_conflict_map_exact(const MappingProblem& problem, Rng& rng, int rounds) {
+  const int n = problem.task_count();
+  int blocked = 0;
+  for (int round = 0; round < rounds; ++round) {
+    Placement placement;
+    std::vector<char> placed;
+    for (int i = 0; i < n; ++i) {
+      const auto pool = problem.candidates(i);
+      placement.push_back(pool[rng.next_below(pool.size())]);
+      placed.push_back(rng.next_below(4) != 0 ? 1 : 0);
+    }
+    for (int a = 0; a < n; ++a) {
+      std::vector<int> grid(static_cast<std::size_t>(problem.origin_grid_size(a)), -1);
+      const auto partners = problem.conflict_partners(a);
+      for (auto b = partners.rbegin(); b != partners.rend(); ++b) {
+        const auto ub = static_cast<std::size_t>(*b);
+        if (placed[ub]) problem.mark_conflicts(a, *b, placement[ub], grid);
+      }
+      // Every origin of every type, including those covering a port or a
+      // dead valve: the grid is dense, the candidates a subset of it.
+      std::vector<char> seen(grid.size(), 0);
+      for (const DeviceType& type : problem.task(a).types) {
+        for (const Point& origin : problem.chip().placements_for(type)) {
+          const DeviceInstance d{type, origin};
+          const auto cell = static_cast<std::size_t>(problem.origin_cell(a, d));
+          if (cell >= grid.size() || seen[cell]) {
+            ADD_FAILURE() << "origin cell " << cell << " of " << d.footprint();
+            return blocked;
+          }
+          seen[cell] = 1;
+          const int expected = first_blocking_partner(problem, a, d, placement, placed);
+          blocked += expected >= 0 ? 1 : 0;
+          if (grid[cell] != expected) {
+            ADD_FAILURE() << "task " << a << " at " << d.footprint() << ": map says "
+                          << grid[cell] << ", pair_feasible says " << expected;
+            return blocked;
+          }
+        }
+      }
+      EXPECT_EQ(std::count(seen.begin(), seen.end(), 1), static_cast<long>(grid.size()));
+    }
+  }
+  return blocked;
+}
+
+TEST(MappingProblem, ConflictMapMatchesPairFeasible) {
+  struct Case {
+    assay::SequencingGraph graph;
+    sched::Schedule schedule;
+    int side;
+  };
+  std::vector<std::unique_ptr<Case>> cases;
+  const auto add = [&](assay::SequencingGraph graph, int increments, int side) {
+    auto c = std::make_unique<Case>(Case{std::move(graph), {}, side});
+    c->schedule = sched::schedule_with_policy(c->graph, sched::make_policy(c->graph, increments));
+    cases.push_back(std::move(c));
+  };
+  add(assay::make_pcr(), 0, 8);
+  add(assay::make_benchmark("mixing_tree"), 1, 10);
+  add(assay::make_interpolating_dilution(), 0, 13);
+  add(assay::make_benchmark("exponential_dilution"), 2, 12);
+  Rng graph_rng(5);
+  for (int mixes : {8, 14}) {
+    assay::RandomAssayOptions options;
+    options.mixing_ops = mixes;
+    add(assay::make_random_assay(graph_rng, options), mixes % 3, 11);
+  }
+
+  Rng rng(2015);
+  int forbidding_cases = 0;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c->graph.name());
+    for (int config = 0; config < 5; ++config) {
+      SCOPED_TRACE("config " + std::to_string(config));
+      auto problem = MappingProblem::build(c->graph, c->schedule,
+                                           arch::Architecture(c->side, c->side));
+      if (config == 1) problem.set_routing_convenient(false);
+      if (config == 2) problem.set_allow_storage_overlap(false);
+      if (config == 3) {
+        // Every other time-overlapping parent/child pair.
+        bool forbid = true;
+        for (int a = 0; a < problem.task_count(); ++a) {
+          for (const int b : problem.conflict_partners(a)) {
+            if (b < a || !problem.parent_child(a, b) || !problem.time_overlap(a, b)) continue;
+            if (forbid) problem.forbid_storage_overlap(a, b);
+            forbid = !forbid;
+          }
+        }
+        forbidding_cases += problem.forbidden_pair_count() > 0 ? 1 : 0;
+      }
+      if (config == 4) {
+        problem.set_dead_valves({Point{2, 3}, Point{c->side / 2, c->side / 2},
+                                 Point{c->side - 3, c->side - 2}});
+      }
+      EXPECT_GT(expect_conflict_map_exact(problem, rng, 3), 0);
+    }
+  }
+  // Some assays (exponential dilution) have no time-overlapping
+  // parent/child pair to forbid.
+  EXPECT_GE(forbidding_cases, 3);
+}
+
+TEST(MappingProblem, ConflictMapIsExactAtEveryPartnerPosition) {
+  // Every position of every conflict partner, on a crafted assay whose
+  // storages are nearly full: c's early parent a brings 6 of 8 cells
+  // (ratio 3:1), so 2 stay free while b is live and a 3-cell overlap at
+  // the edge of the overlap box already breaks the free-space rule.
+  SequencingGraph g("edges");
+  std::vector<OpId> in;
+  for (const char* name : {"i0", "i1", "i2", "i3", "i4"}) {
+    in.push_back(g.add_operation(input_op(name)));
+  }
+  const OpId a = g.add_operation(mix_op("a", {in[0], in[1]}, 8, 3));
+  const OpId b = g.add_operation(mix_op("b", {in[2], in[3]}, 8, 9));
+  const OpId c = g.add_operation(mix_op("c", {a, b}, 8, 5, {3, 1}));
+  g.add_operation(mix_op("d", {c, in[4]}, 12, 4, {1, 1}));
+  g.validate();
+  const auto schedule = sched::schedule_asap(g);
+  for (int config = 0; config < 3; ++config) {
+    SCOPED_TRACE("config " + std::to_string(config));
+    auto problem = MappingProblem::build(g, schedule, arch::Architecture(11, 11));
+    ASSERT_EQ(problem.storage_occupied_before(problem.task_of(c),
+                                              problem.task(problem.task_of(b)).release),
+              6);
+    problem.set_routing_convenient(config != 1);
+    problem.set_allow_storage_overlap(config != 2);
+    for (int ta = 0; ta < problem.task_count(); ++ta) {
+      std::vector<int> grid(static_cast<std::size_t>(problem.origin_grid_size(ta)));
+      for (const int tb : problem.conflict_partners(ta)) {
+        for (const DeviceInstance& db : problem.candidates(tb)) {
+          std::fill(grid.begin(), grid.end(), -1);
+          problem.mark_conflicts(ta, tb, db, grid);
+          for (const DeviceType& type : problem.task(ta).types) {
+            for (const Point& origin : problem.chip().placements_for(type)) {
+              const DeviceInstance da{type, origin};
+              const int expected = problem.pair_feasible(ta, da, tb, db) ? -1 : tb;
+              if (grid[static_cast<std::size_t>(problem.origin_cell(ta, da))] != expected) {
+                ADD_FAILURE() << "task " << ta << " at " << da.footprint() << " against task "
+                              << tb << " at " << db.footprint();
+                return;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(MappingProblem, TimeDisjointTasksShareAreaFreely) {

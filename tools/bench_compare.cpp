@@ -7,6 +7,8 @@
 // Exits nonzero when, for any instance present in the baseline:
 //   - the instance is missing from the new file,
 //   - the objective differs (correctness, not perf — any drift fails), or
+//   - the status or the thread count differs (a different verdict, or a
+//     run of a different configuration), or
 //   - mttf_runs drifts beyond last-ulp libm variance (the Monte Carlo
 //     estimate is deterministic in the seed), or
 //   - wall_ms grew by more than --wall-tol (default +15%), or
@@ -156,6 +158,20 @@ int main(int argc, char** argv) {
         if (base_obj != new_obj) {
           std::cout << "  FAIL " << name << " objective: " << base_obj << " != " << new_obj
                     << "\n";
+          ++failures;
+        }
+      }
+      // The solver's verdict and the worker count the run reports are
+      // exact too: either differing means the rows do not describe the
+      // same solve.
+      for (const char* field : {"status", "threads"}) {
+        if (!base_row.has(field)) continue;
+        const std::string base_value = base_row.at(field).dump();
+        const std::string new_value =
+            new_row->has(field) ? new_row->at(field).dump() : std::string("missing");
+        if (base_value != new_value) {
+          std::cout << "  FAIL " << name << " " << field << ": " << base_value
+                    << " != " << new_value << "\n";
           ++failures;
         }
       }
