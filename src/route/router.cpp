@@ -1,8 +1,7 @@
 #include "route/router.hpp"
 
 #include <algorithm>
-#include <limits>
-#include <queue>
+#include <cstdint>
 
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -44,14 +43,17 @@ class Router {
   Router(const MappingProblem& problem, const Placement& placement,
          const RouterOptions& options)
       : problem_(problem), placement_(placement), options_(options),
-        pump_loads_(problem.pump_loads(placement)),
-        control_loads_(problem.chip().width(), problem.chip().height(), 0),
-        used_(problem.chip().width(), problem.chip().height(), 0),
-        blocked_(problem.chip().width(), problem.chip().height(), 0),
-        congested_(problem.chip().width(), problem.chip().height(), 0),
-        target_(problem.chip().width(), problem.chip().height(), 0),
-        dist_(problem.chip().width(), problem.chip().height(), 0.0),
-        prev_(problem.chip().width(), problem.chip().height(), Point{-1, -1}) {}
+        height_(problem.chip().height()) {
+    const auto cells =
+        static_cast<std::size_t>(problem.chip().width()) * static_cast<std::size_t>(height_);
+    loads_.assign(cells, 0);
+    used_.assign(cells, 0);
+    blocked_.assign(cells, 0);
+    congested_.assign(cells, 0);
+    search_.assign(cells, SearchCell{});
+    problem.pump_loads(placement).for_each(
+        [this](const Point& cell, int load) { loads_[cell_index(cell)] = load; });
+  }
 
   RoutingResult run() {
     RoutingResult result;
@@ -81,23 +83,51 @@ class Router {
         log_warn("router: cannot route ", path.label);
         return result;
       }
-      routed_.push_back(path);  // visible to later congestion checks
       for (const Point& cell : path.cells) {
-        used_.at(cell) = 1;
-        control_loads_.at(cell) += 2;  // open + close per transport
+        const std::size_t c = cell_index(cell);
+        used_[c] = 1;
+        loads_[c] += 2;  // control actuations: open + close per transport
       }
       result.total_cells += path.length();
+      routed_.push_back(std::move(path));  // visible to later congestion checks
     }
-    result.paths = routed_;
+    result.paths = std::move(routed_);
     result.success = true;
     return result;
   }
 
+  long searches() const { return searches_; }
+  long settled() const { return settled_; }
+
  private:
-  /// Terminal cells of a task's device: the circulation ring (any ring cell
-  /// may serve as a port thanks to valve role changing).
-  std::vector<Point> terminals(int task) const {
-    return placement_[static_cast<std::size_t>(task)].pump_cells();
+  /// Per-search state of one cell.  A field is current only when its stamp
+  /// equals the search's, so a new search clears nothing.
+  struct SearchCell {
+    std::uint32_t labelled = 0;  ///< search that labelled the cell
+    std::uint32_t target = 0;    ///< search for which it is a usable target
+    int prev = -1;               ///< predecessor cell, -1 at a source
+  };
+
+  /// Queue entry.  Distinct cells never compare equal, because the cell
+  /// index orders cells like (x, y).
+  struct QueueEntry {
+    double dist;
+    int cell;
+  };
+
+  /// Flat index of a chip cell, column-major, so that index order is
+  /// (x, y) order: the queue's tie-break.
+  std::size_t cell_index(const Point& p) const {
+    return static_cast<std::size_t>(p.x) * static_cast<std::size_t>(height_) +
+           static_cast<std::size_t>(p.y);
+  }
+  Point cell_point(int cell) const { return Point{cell / height_, cell % height_}; }
+
+  /// The circulation ring of a task's device, appended to `out`: any ring
+  /// cell may serve as a port thanks to valve role changing.
+  void append_terminals(int task, std::vector<Point>& out) const {
+    placement_[static_cast<std::size_t>(task)].footprint().for_each_ring_cell(
+        [&out](const Point& cell) { out.push_back(cell); });
   }
 
   std::vector<RoutedPath> collect_transports() const {
@@ -144,8 +174,8 @@ class Router {
   }
 
   void block(const Rect& area) {
-    for (int y = area.bottom(); y < area.top(); ++y) {
-      for (int x = area.left(); x < area.right(); ++x) blocked_.at(x, y) = 1;
+    for (int x = area.left(); x < area.right(); ++x) {
+      for (int y = area.bottom(); y < area.top(); ++y) blocked_[cell_index(Point{x, y})] = 1;
     }
   }
 
@@ -156,16 +186,16 @@ class Router {
   /// blocks only its enclosed interior: its ring stays passable while free
   /// space allows (find_overfull_storage).
   void mark_obstacles(const RoutedPath& path) {
-    blocked_.fill(0);
-    for (const Point& cell : problem_.dead_valves()) blocked_.at(cell) = 1;
+    std::fill(blocked_.begin(), blocked_.end(), 0);
+    for (const Point& cell : problem_.dead_valves()) blocked_[cell_index(cell)] = 1;
     for (int j = 0; j < problem_.task_count(); ++j) {
       if (j == path.task || j == path.source_task) continue;
       const synth::MappingTask& other = problem_.task(j);
-      const DeviceInstance& device = placement_[static_cast<std::size_t>(j)];
+      const Rect footprint = placement_[static_cast<std::size_t>(j)].footprint();
       if (path.time >= other.start && path.time < other.release) {
-        block(device.footprint());
+        block(footprint);
       } else if (path.time >= other.storage_from && path.time < other.start) {
-        for (const Point& cell : device.interior_cells()) blocked_.at(cell) = 1;
+        block(footprint.inflated(-1));  // the interior; empty for 2-wide shapes
       }
     }
   }
@@ -173,10 +203,10 @@ class Router {
   /// Fills the congestion map: the cells of routed paths whose transport
   /// window overlaps this one's.
   void mark_congestion(const RoutedPath& path) {
-    congested_.fill(0);
+    std::fill(congested_.begin(), congested_.end(), 0);
     for (const RoutedPath& other : routed_) {
       if (!times_overlap(path, other)) continue;
-      for (const Point& cell : other.cells) congested_.at(cell) = 1;
+      for (const Point& cell : other.cells) congested_[cell_index(cell)] = 1;
     }
   }
 
@@ -185,11 +215,26 @@ class Router {
     return a.time < b.time + delay && b.time < a.time + delay;
   }
 
+  /// Pushes a cell labelled at `dist` onto the search queue.
+  void push(double dist, std::size_t cell) {
+    queue_.push_back({dist, static_cast<int>(cell)});
+    std::push_heap(queue_.begin(), queue_.end(), later);
+  }
+  static bool later(const QueueEntry& a, const QueueEntry& b) {
+    return a.dist != b.dist ? a.dist > b.dist : a.cell > b.cell;
+  }
+
   /// Dijkstra from the path's source terminals to its target terminals over
-  /// the current obstacle and congestion maps.
+  /// the current obstacle and congestion maps.  A step costs what the cell
+  /// entered costs, at least 0.1, so the first label a cell gets is final
+  /// (see the Router section of docs/architecture.md): every cell is
+  /// labelled and queued at most once, and nothing is re-labelled.
   bool dijkstra(RoutedPath& path) {
+    ++searches_;
+    ++stamp_;
     const auto& chip = problem_.chip();
-    std::vector<Point> sources, targets;
+    sources_.clear();
+    targets_.clear();
     switch (path.kind) {
       case TransportKind::kFill: {
         // Honour a port assignment when one names this fill's fluid.
@@ -202,90 +247,83 @@ class Router {
         int input_index = 0;
         for (const arch::ChipPort& port : chip.ports()) {
           if (!port.is_input) continue;
-          if (pinned < 0 || input_index == pinned) sources.push_back(port.cell);
+          if (pinned < 0 || input_index == pinned) sources_.push_back(port.cell);
           ++input_index;
         }
-        targets = terminals(path.task);
+        append_terminals(path.task, targets_);
         break;
       }
       case TransportKind::kTransfer:
-        sources = terminals(path.source_task);
-        targets = terminals(path.task);
+        append_terminals(path.source_task, sources_);
+        append_terminals(path.task, targets_);
         break;
       case TransportKind::kDrain:
-        sources = terminals(path.task);
-        targets.push_back(chip.output_port().cell);
+        append_terminals(path.task, sources_);
+        targets_.push_back(chip.output_port().cell);
         break;
     }
-    require(!sources.empty() && !targets.empty(), "transport without terminals");
+    require(!sources_.empty() && !targets_.empty(), "transport without terminals");
 
     // A terminal buried under a foreign live device is unusable — e.g. the
     // part of a storage ring still covered by the other parent's mixer.
-    target_.fill(0);
     bool any_target = false;
-    for (const Point& t : targets) {
-      if (blocked_.at(t)) continue;
-      target_.at(t) = 1;
+    for (const Point& t : targets_) {
+      const std::size_t c = cell_index(t);
+      if (blocked_[c]) continue;
+      search_[c].target = stamp_;
       any_target = true;
     }
     if (!any_target) return false;
     // Trivial case: the regions touch (e.g. storage overlapping its parent).
-    for (const Point& s : sources) {
-      if (target_.at(s)) {
+    for (const Point& s : sources_) {
+      if (search_[cell_index(s)].target == stamp_) {
         path.cells = {s};
         return true;
       }
     }
 
-    // Both grids are reset: a stale `prev_` link would lead the walk back
-    // from `reached` past a source of this search.
-    dist_.fill(std::numeric_limits<double>::infinity());
-    prev_.fill(Point{-1, -1});
-    using Entry = std::pair<double, Point>;
-    auto cmp = [](const Entry& a, const Entry& b) {
-      return a.first != b.first ? a.first > b.first
-                                : std::tie(a.second.x, a.second.y) >
-                                      std::tie(b.second.x, b.second.y);
-    };
-    std::priority_queue<Entry, std::vector<Entry>, decltype(cmp)> queue(cmp);
-    for (const Point& s : sources) {
+    queue_.clear();
+    for (const Point& s : sources_) {
+      const std::size_t c = cell_index(s);
       // A source terminal buried under a foreign live device is unusable.
-      if (blocked_.at(s)) continue;
-      dist_.at(s) = 0.0;
-      queue.push({0.0, s});
+      if (blocked_[c] || search_[c].labelled == stamp_) continue;
+      search_[c].labelled = stamp_;
+      search_[c].prev = -1;
+      push(0.0, c);
     }
-    if (queue.empty()) return false;
+    if (queue_.empty()) return false;
 
-    Point reached{-1, -1};
-    while (!queue.empty()) {
-      const auto [d, cell] = queue.top();
-      queue.pop();
-      if (d > dist_.at(cell)) continue;
-      if (target_.at(cell)) {
-        reached = cell;
+    int reached = -1;
+    while (!queue_.empty()) {
+      std::pop_heap(queue_.begin(), queue_.end(), later);
+      const QueueEntry top = queue_.back();
+      queue_.pop_back();
+      ++settled_;
+      if (search_[static_cast<std::size_t>(top.cell)].target == stamp_) {
+        reached = top.cell;
         break;
       }
-      for (const Point& next : orthogonal_neighbours(cell)) {
-        if (!chip.bounds().contains(next) || blocked_.at(next)) continue;
+      for (const Point& next : orthogonal_neighbours(cell_point(top.cell))) {
+        if (!chip.bounds().contains(next)) continue;
+        const std::size_t c = cell_index(next);
+        if (blocked_[c] || search_[c].labelled == stamp_) continue;
         // Avoid hot valves: both peristaltic load and control actuations
         // already accumulated count, so the max-actuation objective is not
         // pushed up by routing.
-        double step = 1.0 + (congested_.at(next) ? options_.congestion_penalty : 0.0) +
-                      kPumpAvoidanceWeight * (pump_loads_.at(next) + control_loads_.at(next));
-        if (used_.at(next)) step -= kReuseDiscount;
+        double step = 1.0 + (congested_[c] ? options_.congestion_penalty : 0.0) +
+                      kPumpAvoidanceWeight * loads_[c];
+        if (used_[c]) step -= kReuseDiscount;
         step = std::max(step, 0.1);
-        if (dist_.at(cell) + step < dist_.at(next)) {
-          dist_.at(next) = dist_.at(cell) + step;
-          prev_.at(next) = cell;
-          queue.push({dist_.at(next), next});
-        }
+        search_[c].labelled = stamp_;
+        search_[c].prev = top.cell;
+        push(top.dist + step, c);
       }
     }
-    if (reached.x < 0) return false;
+    if (reached < 0) return false;
 
     path.cells.clear();
-    for (Point cell = reached; cell.x >= 0; cell = prev_.at(cell)) {
-      path.cells.push_back(cell);
+    for (int cell = reached; cell >= 0; cell = search_[static_cast<std::size_t>(cell)].prev) {
+      path.cells.push_back(cell_point(cell));
     }
     std::reverse(path.cells.begin(), path.cells.end());
     return true;
@@ -312,16 +350,21 @@ class Router {
   const MappingProblem& problem_;
   const Placement& placement_;
   RouterOptions options_;
-  Grid<int> pump_loads_;
-  Grid<int> control_loads_;
+  int height_;
   std::vector<RoutedPath> routed_;
-  Grid<char> used_;       ///< cells of every path routed so far
-  // Per-search state, refilled for each transport and reused across searches.
-  Grid<char> blocked_;    ///< obstacle map at the transport's time
-  Grid<char> congested_;  ///< cells of routed paths overlapping in time
-  Grid<char> target_;     ///< usable target terminals
-  Grid<double> dist_;
-  Grid<Point> prev_;
+  // Chip-sized maps, indexed by cell_index().
+  std::vector<int> loads_;       ///< pump load plus control actuations so far
+  std::vector<char> used_;       ///< cells of every path routed so far
+  std::vector<char> blocked_;    ///< obstacle map at the transport's time
+  std::vector<char> congested_;  ///< cells of routed paths overlapping in time
+  // Search state, reused across searches; search_ is valid by stamp.
+  std::vector<SearchCell> search_;
+  std::uint32_t stamp_ = 0;
+  std::vector<QueueEntry> queue_;
+  std::vector<Point> sources_;
+  std::vector<Point> targets_;
+  long searches_ = 0;
+  long settled_ = 0;
 };
 
 }  // namespace
@@ -346,6 +389,8 @@ RoutingResult route_all(const MappingProblem& problem, const Placement& placemen
     span.arg("paths", result.paths.size());
     span.arg("cells", result.total_cells);
     span.arg("rip_ups", result.rip_ups);
+    span.arg("searches", router.searches());
+    span.arg("settled", router.settled());
   }
   return result;
 }
@@ -379,7 +424,7 @@ void validate_routing(const MappingProblem& problem, const Placement& placement,
         for (const arch::ChipPort& port : chip.ports()) {
           if (port.is_input && port.cell == first) from_port = true;
         }
-        require(from_port || path.cells.size() == 1, "fill does not start at an input port: " + path.label);
+        require(from_port, "fill does not start at an input port: " + path.label);
         require(on_ring(path.task, last), "fill does not end at the device: " + path.label);
         break;
       }

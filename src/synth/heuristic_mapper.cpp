@@ -64,18 +64,25 @@ class Mapper {
 
   std::optional<MappingOutcome> run() {
     options_.cancel.check("heuristic mapper");
-    bool constructed = adopt_warm_start() || greedy_construct();
+    bool constructed = adopt_warm_start() || construct(0);
     for (int retry = 0; !constructed && retry < options_.greedy_retries; ++retry) {
       options_.cancel.check("heuristic mapper restart loop");
       // Randomized restarts: grow the tie-break noise so successive
       // attempts explore genuinely different layouts.
       noise_ = 400.0 * (retry + 1);
       clear_loads();
-      constructed = greedy_construct();
+      constructed = construct(retry + 1);
     }
     noise_ = 0.0;
     if (!constructed) return std::nullopt;
-    anneal();
+    {
+      obs::Span span("synth", "anneal");
+      anneal();
+      if (span.active()) {
+        span.arg("moves_tried", moves_tried_);
+        span.arg("moves_accepted", moves_accepted_);
+      }
+    }
     problem_.validate_placement(placement_);
 
     MappingOutcome outcome;
@@ -145,6 +152,18 @@ class Mapper {
   }
 
   Cost current_cost() const { return Cost{max_load_, sum_squares_}; }
+
+  /// One greedy pass under a `synth/construct` span: `restart` is 0 for
+  /// the deterministic pass and k for the k-th randomized restart.
+  bool construct(int restart) {
+    obs::Span span("synth", "construct");
+    const bool feasible = greedy_construct();
+    if (span.active()) {
+      span.arg("restart", restart);
+      span.arg("feasible", feasible);
+    }
+    return feasible;
+  }
 
   /// Greedy with backtracking: place tasks in occupancy order, each at the
   /// position that minimizes (resulting max ring load, added squared load,

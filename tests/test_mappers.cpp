@@ -13,6 +13,7 @@
 #include <thread>
 
 #include "assay/benchmarks.hpp"
+#include "obs/trace.hpp"
 #include "sched/list_scheduler.hpp"
 #include "synth/heuristic_mapper.hpp"
 #include "synth/ilp_mapper.hpp"
@@ -93,8 +94,9 @@ TEST(HeuristicMapper, AnnealingNeverWorseThanGreedy) {
   EXPECT_LE(annealed->max_pump_load, greedy->max_pump_load);
 }
 
-TEST(HeuristicMapper, ReturnsNulloptOnImpossiblyTightChip) {
-  // 8x8 minus port cells cannot hold 8 concurrent volume-10 devices.
+/// Eight concurrent volume-10 mixes: more than an 8x8 chip minus its port
+/// cells can hold.
+SequencingGraph eight_concurrent_mixes() {
   SequencingGraph g("tight");
   std::vector<OpId> in;
   for (int i = 0; i < 16; ++i) in.push_back(g.add_operation(input_op("i" + std::to_string(i))));
@@ -102,11 +104,57 @@ TEST(HeuristicMapper, ReturnsNulloptOnImpossiblyTightChip) {
     g.add_operation(mix_op("m" + std::to_string(m), {in[2 * m], in[2 * m + 1]}, 10, 6));
   }
   g.validate();
+  return g;
+}
+
+TEST(HeuristicMapper, ReturnsNulloptOnImpossiblyTightChip) {
+  const auto g = eight_concurrent_mixes();
   const auto schedule = sched::schedule_asap(g);
   auto problem = MappingProblem::build(g, schedule, arch::Architecture(8, 8));
   HeuristicOptions options;
   options.greedy_retries = 2;
   EXPECT_FALSE(map_heuristic(problem, options).has_value());
+}
+
+TEST(HeuristicMapper, SpansReportEachGreedyPassAndTheAnnealing) {
+  const auto tight_graph = eight_concurrent_mixes();
+  const auto tight_schedule = sched::schedule_asap(tight_graph);
+  const auto tight =
+      MappingProblem::build(tight_graph, tight_schedule, arch::Architecture(8, 8));
+  const auto pcr_graph = assay::make_pcr();
+  const auto pcr_schedule = sched::schedule_asap(pcr_graph);
+  const auto pcr = MappingProblem::build(pcr_graph, pcr_schedule, arch::Architecture(10, 10));
+  HeuristicOptions two_restarts;
+  two_restarts.greedy_retries = 2;
+
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.drain();
+  tracer.enable();
+  const auto failed = map_heuristic(tight, two_restarts);
+  const auto mapped = map_heuristic(pcr);
+  tracer.disable();
+  ASSERT_FALSE(failed.has_value());
+  ASSERT_TRUE(mapped.has_value());
+
+  std::vector<std::string> construct, anneal;
+  for (const obs::TraceEvent& e : tracer.drain()) {
+    if (std::string_view(e.category) != "synth") continue;
+    if (e.name == "construct") construct.push_back(e.args);
+    if (e.name == "anneal") anneal.push_back(e.args);
+  }
+  // The tight chip fails the deterministic pass and both restarts and is
+  // never annealed; pcr is placed by the deterministic pass.
+  EXPECT_EQ(construct, (std::vector<std::string>{
+                           "\"restart\":0,\"feasible\":false",
+                           "\"restart\":1,\"feasible\":false",
+                           "\"restart\":2,\"feasible\":false",
+                           "\"restart\":0,\"feasible\":true",
+                       }));
+  EXPECT_EQ(anneal, (std::vector<std::string>{
+                        "\"moves_tried\":" + std::to_string(mapped->moves_tried) +
+                        ",\"moves_accepted\":" + std::to_string(mapped->moves_accepted),
+                    }));
+  EXPECT_GT(mapped->moves_accepted, 0);
 }
 
 TEST(HeuristicMapper, WorksOnEveryBenchmarkAndPolicy) {

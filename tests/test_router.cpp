@@ -3,13 +3,18 @@
 // across versions, and the independent routing validator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 
 #include "assay/benchmarks.hpp"
+#include "assay/random_assay.hpp"
+#include "obs/trace.hpp"
 #include "route/port_assignment.hpp"
 #include "route/router.hpp"
 #include "sched/list_scheduler.hpp"
 #include "synth/heuristic_mapper.hpp"
+#include "synth/synthesis.hpp"
+#include "util/rng.hpp"
 
 namespace fsyn::route {
 namespace {
@@ -194,6 +199,34 @@ void expect_storage_interior_rejected() {
   EXPECT_NO_THROW(validate_routing(problem, placement, routing));
 }
 
+/// pcr p1 on 12x12: a fill shrunk to its last cell, a ring cell of its
+/// device that is no input port, must not pass as a fill.
+void expect_portless_fill_rejected() {
+  const auto g = assay::make_benchmark("pcr");
+  const auto schedule = sched::schedule_with_policy(g, sched::make_policy(g, 1));
+  auto problem = MappingProblem::build(g, schedule, arch::Architecture(12, 12));
+  const auto mapping = synth::map_heuristic(problem);
+  ASSERT_TRUE(mapping.has_value());
+  RoutingResult routing = route_all(problem, mapping->placement);
+  ASSERT_TRUE(routing.success);
+  const auto fill = std::find_if(routing.paths.begin(), routing.paths.end(),
+                                 [](const RoutedPath& p) { return p.kind == TransportKind::kFill; });
+  ASSERT_NE(fill, routing.paths.end());
+  const Point last = fill->cells.back();
+  for (const arch::ChipPort& port : problem.chip().ports()) {
+    ASSERT_FALSE(port.is_input && port.cell == last) << last << " is an input port";
+  }
+  fill->cells = {last};
+  try {
+    validate_routing(problem, mapping->placement, routing);
+    ADD_FAILURE() << "a one-cell fill at " << last << " was accepted";
+  } catch (const LogicError& e) {
+    EXPECT_NE(std::string(e.what()).find("fill does not start at an input port"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Router, ValidatorRejectsCorruptedPaths) {
   Chain fx;
   const auto schedule = sched::schedule_asap(fx.graph);
@@ -227,6 +260,10 @@ TEST(Router, ValidatorRejectsCorruptedPaths) {
   {
     SCOPED_TRACE("storage interior");
     expect_storage_interior_rejected();
+  }
+  {
+    SCOPED_TRACE("fill that starts nowhere");
+    expect_portless_fill_rejected();
   }
 }
 
@@ -265,12 +302,24 @@ std::uint64_t paths_digest(const RoutingResult& routing) {
   return hash;
 }
 
+/// The random assay of BM_RoutingScale (bench/bench_scaling.cpp), the
+/// recipe of the end-to-end `scale` workload.
+assay::SequencingGraph scale_assay(int mixes) {
+  Rng rng(2015);
+  assay::RandomAssayOptions options;
+  options.mixing_ops = mixes;
+  options.reuse_probability = 0.55;
+  options.detect_probability = 0.15;
+  return assay::make_random_assay(rng, options);
+}
+
 TEST(Router, DecisionsArePinnedAcrossVersions) {
   // A change meant only to make the router faster must reproduce every
   // routed cell, so these stay exact: the digest covers each path's cells
   // in order.  The cases are a heavy-routing Table-1 row, a tight chip with
-  // rip-ups (with and without the congestion penalty), and dead valves
-  // with fills pinned to their assigned ports.
+  // rip-ups (with and without the congestion penalty), dead valves with
+  // fills pinned to their assigned ports, and BM_RoutingScale's two random
+  // assays, mapped and routed as that benchmark does.
   struct Pin {
     const char* assay;
     int increments;
@@ -281,25 +330,37 @@ TEST(Router, DecisionsArePinnedAcrossVersions) {
     int total_cells;
     int rip_ups;
     std::uint64_t digest;
+    /// > 0: scale_assay(scale_mixes) on sized_for(..., chip_slack) + 2,
+    /// mapped with BM_RoutingScale's 4000 annealing moves.
+    int scale_mixes = 0;
   };
   const Pin pins[] = {
       {"exponential_dilution", 3, 0, false, 8.0, 103, 1642, 0, 0xba7f6a8f8f709461ULL},
       {"mixing_tree", 2, 13, false, 8.0, 37, 211, 2, 0x7cd05876e95a09adULL},
       {"mixing_tree", 2, 13, false, 0.0, 37, 203, 2, 0x16d767f0d5da22eeULL},
       {"pcr", 0, 12, true, 8.0, 15, 155, 1, 0x2701a2500a9647e4ULL},
+      {"scale", 1, 0, false, 8.0, 124, 1197, 0, 0xcab430c3f1361b7eULL, 60},
+      {"scale", 1, 0, false, 8.0, 234, 2868, 1, 0x4a873f0881f4f77aULL, 116},
   };
   for (const Pin& pin : pins) {
-    SCOPED_TRACE(std::string(pin.assay) + " penalty " + std::to_string(pin.congestion_penalty));
-    const auto g = assay::make_benchmark(pin.assay);
+    SCOPED_TRACE(std::string(pin.assay) + " " + std::to_string(pin.scale_mixes) + " penalty " +
+                 std::to_string(pin.congestion_penalty));
+    const bool scale = pin.scale_mixes > 0;
+    const auto g = scale ? scale_assay(pin.scale_mixes) : assay::make_benchmark(pin.assay);
     const auto schedule = sched::schedule_with_policy(g, sched::make_policy(g, pin.increments));
-    const int side =
-        pin.side > 0 ? pin.side : arch::Architecture::sized_for(g, schedule, 1.0).width();
+    int side = pin.side;
+    if (scale) {
+      side = arch::Architecture::sized_for(g, schedule, synth::SynthesisOptions().chip_slack)
+                 .width() + 2;
+    } else if (side == 0) {
+      side = arch::Architecture::sized_for(g, schedule, 1.0).width();
+    }
     auto problem = MappingProblem::build(g, schedule, arch::Architecture(side, side));
     if (pin.dead_valves_and_pinned_ports) {
       problem.set_dead_valves({Point{6, 6}, Point{1, 10}, Point{10, 2}});
     }
     synth::HeuristicOptions mapper;
-    mapper.sa_iterations = 3000;
+    mapper.sa_iterations = scale ? 4000 : 3000;
     const auto mapping = synth::map_heuristic(problem, mapper);
     ASSERT_TRUE(mapping.has_value());
 
@@ -316,6 +377,44 @@ TEST(Router, DecisionsArePinnedAcrossVersions) {
     EXPECT_EQ(routing.rip_ups, pin.rip_ups);
     EXPECT_EQ(paths_digest(routing), pin.digest);
   }
+}
+
+long span_arg(const std::string& args, const std::string& key) {
+  const std::size_t at = args.find("\"" + key + "\":");
+  return at == std::string::npos ? -1 : std::stol(args.substr(at + key.size() + 3));
+}
+
+TEST(Router, SpanCountsSearchesAndSettledCells) {
+  // mixing_tree p2 on 13x13 rips up twice.  Each transport is searched once
+  // plus once per rip-up, and every cell of a path longer than one cell was
+  // taken off the queue of its final search.
+  const auto g = assay::make_benchmark("mixing_tree");
+  const auto schedule = sched::schedule_with_policy(g, sched::make_policy(g, 2));
+  auto problem = MappingProblem::build(g, schedule, arch::Architecture(13, 13));
+  synth::HeuristicOptions mapper;
+  mapper.sa_iterations = 3000;
+  const auto mapping = synth::map_heuristic(problem, mapper);
+  ASSERT_TRUE(mapping.has_value());
+
+  obs::Tracer& tracer = obs::Tracer::instance();
+  tracer.drain();
+  tracer.enable();
+  const RoutingResult routing = route_all(problem, mapping->placement);
+  tracer.disable();
+  ASSERT_TRUE(routing.success);
+  ASSERT_GT(routing.rip_ups, 0);
+  std::vector<std::string> args;
+  for (const obs::TraceEvent& e : tracer.drain()) {
+    if (std::string_view(e.category) == "route" && e.name == "route_all") args.push_back(e.args);
+  }
+  ASSERT_EQ(args.size(), 1u);
+  long multi_cell = 0;
+  for (const RoutedPath& path : routing.paths) {
+    if (path.length() > 1) multi_cell += path.length();
+  }
+  EXPECT_EQ(span_arg(args[0], "searches"),
+            static_cast<long>(routing.paths.size()) + routing.rip_ups);
+  EXPECT_GE(span_arg(args[0], "settled"), multi_cell);
 }
 
 TEST(Router, CongestionPenaltyDiscouragesSharedCellsAtSameTime) {
